@@ -38,7 +38,40 @@ let group_mac = Cmac.of_secret "resdb-demo-mac!!"
 let client_verifier () =
   Signer.verifier (Signer.create (Rdb_des.Rng.create 4242L) Signer.Ed25519)
 
-type pending_req = { p_client : int; p_payload : string; p_host : string; p_port : int }
+type pending_req = { p_payload : string; p_host : string; p_port : int }
+
+(* The (client, txn_id) keys this replica has executed.  Clients number
+   their transactions upward from 0, so one client's set is a watermark,
+   below which every id is executed, plus the executed ids above it: its
+   size is bounded by how far execution runs out of id order, not by how
+   many transactions the client has sent. *)
+module Executed = struct
+  type client = { mutable below : int; above : (int, unit) Hashtbl.t }
+
+  let create () : (int, client) Hashtbl.t = Hashtbl.create 16
+
+  let mem t (client, txn_id) =
+    match Hashtbl.find_opt t client with
+    | Some c -> (0 <= txn_id && txn_id < c.below) || Hashtbl.mem c.above txn_id
+    | None -> false
+
+  let add t (client, txn_id) =
+    let c =
+      match Hashtbl.find_opt t client with
+      | Some c -> c
+      | None ->
+        let c = { below = 0; above = Hashtbl.create 64 } in
+        Hashtbl.replace t client c;
+        c
+    in
+    if not (0 <= txn_id && txn_id < c.below) then begin
+      Hashtbl.replace c.above txn_id ();
+      while Hashtbl.mem c.above c.below do
+        Hashtbl.remove c.above c.below;
+        c.below <- c.below + 1
+      done
+    end
+end
 
 let parse_peers s =
   String.split_on_char ',' s
@@ -68,8 +101,20 @@ let run id peers_s batch_size duration verbose =
   let ledger = Ledger.create ~primary_id:0 in
   let verifier = client_verifier () in
   let lock = Mutex.create () in
-  let pending : int Queue.t = Queue.create () in
-  let requests : (int, pending_req) Hashtbl.t = Hashtbl.create 256 in
+  (* Requests are keyed by (client, txn_id): transaction ids are only
+     unique per client.  A body is held from arrival until its batch
+     executes; after that only its key is remembered, in [executed], so a
+     duplicate is still refused but the payload is freed. *)
+  let pending : (int * int) Queue.t = Queue.create () in
+  let requests : (int * int, pending_req) Hashtbl.t = Hashtbl.create 256 in
+  let executed = Executed.create () in
+  let admit key req =
+    if not (Hashtbl.mem requests key || Executed.mem executed key) then begin
+      Hashtbl.replace requests key req;
+      true
+    end
+    else false
+  in
   let executed_txns = ref 0 in
   let transport = ref None in
   let tp () = Option.get !transport in
@@ -87,12 +132,12 @@ let run id peers_s batch_size duration verbose =
     | Msg.Pre_prepare { batch; _ } ->
       List.filter_map
         (fun (r : Msg.request_ref) ->
-          match Hashtbl.find_opt requests r.Msg.txn_id with
+          match Hashtbl.find_opt requests (r.Msg.client, r.Msg.txn_id) with
           | Some req ->
             Some
               {
                 Wire.a_txn_id = r.Msg.txn_id;
-                a_client = req.p_client;
+                a_client = r.Msg.client;
                 a_reply_host = req.p_host;
                 a_reply_port = req.p_port;
                 a_payload = req.p_payload;
@@ -123,9 +168,15 @@ let run id peers_s batch_size duration verbose =
             List.map
               (fun (r : Msg.request_ref) ->
                 incr executed_txns;
-                match Hashtbl.find_opt requests r.Msg.txn_id with
-                | Some req -> apply_kv store req.p_payload
-                | None -> "missing")
+                let key = (r.Msg.client, r.Msg.txn_id) in
+                let result =
+                  match Hashtbl.find_opt requests key with
+                  | Some req -> apply_kv store req.p_payload
+                  | None -> "missing"
+                in
+                Hashtbl.remove requests key;
+                Executed.add executed key;
+                result)
               batch.Msg.reqs
           in
           let cert = List.init (Config.commit_quorum cfg) (fun i -> (i, "share")) in
@@ -149,11 +200,9 @@ let run id peers_s batch_size duration verbose =
     if Pbft.is_primary core then begin
       let form k =
         let txns = List.init k (fun _ -> Queue.pop pending) in
-        let payloads = List.map (fun t -> (Hashtbl.find requests t).p_payload) txns in
+        let payloads = List.map (fun key -> (Hashtbl.find requests key).p_payload) txns in
         let digest = Sha256.digest (String.concat "\x00" payloads) in
-        let reqs =
-          List.map (fun txn_id -> { Msg.client = (Hashtbl.find requests txn_id).p_client; txn_id }) txns
-        in
+        let reqs = List.map (fun (client, txn_id) -> { Msg.client; txn_id }) txns in
         let wire = List.fold_left (fun a p -> a + String.length p) 0 payloads in
         let _, actions = Pbft.propose core ~reqs ~digest ~wire_bytes:wire in
         dispatch actions
@@ -171,11 +220,10 @@ let run id peers_s batch_size duration verbose =
       if Wire.verify_request verifier ~client ~txn_id ~payload ~signature then begin
         Mutex.lock lock;
         Tcp.add_peer (tp ()) (client_peer_id client) (reply_host, reply_port);
-        if not (Hashtbl.mem requests txn_id) then begin
-          Hashtbl.replace requests txn_id
-            { p_client = client; p_payload = payload; p_host = reply_host; p_port = reply_port };
-          Queue.push txn_id pending
-        end;
+        if
+          admit (client, txn_id)
+            { p_payload = payload; p_host = reply_host; p_port = reply_port }
+        then Queue.push (client, txn_id) pending;
         try_batch ~force:false;
         Mutex.unlock lock
       end
@@ -186,14 +234,13 @@ let run id peers_s batch_size duration verbose =
         List.iter
           (fun (a : Wire.attachment) ->
             Tcp.add_peer (tp ()) (client_peer_id a.Wire.a_client) (a.Wire.a_reply_host, a.Wire.a_reply_port);
-            if not (Hashtbl.mem requests a.Wire.a_txn_id) then
-              Hashtbl.replace requests a.Wire.a_txn_id
-                {
-                  p_client = a.Wire.a_client;
-                  p_payload = a.Wire.a_payload;
-                  p_host = a.Wire.a_reply_host;
-                  p_port = a.Wire.a_reply_port;
-                })
+            ignore
+              (admit (a.Wire.a_client, a.Wire.a_txn_id)
+                 {
+                   p_payload = a.Wire.a_payload;
+                   p_host = a.Wire.a_reply_host;
+                   p_port = a.Wire.a_reply_port;
+                 }))
           attachments;
         dispatch (Pbft.handle_message core msg);
         Mutex.unlock lock

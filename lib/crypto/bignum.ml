@@ -278,41 +278,227 @@ let to_hex t =
     Buffer.contents buf
   end
 
+(* Bits [pos, pos + w) of [t], for [w <= limb_bits]; zero past the top. *)
+let bits_at (t : t) pos w =
+  let limb = pos / limb_bits and off = pos mod limb_bits in
+  let n = Array.length t in
+  let lo = if limb < n then t.(limb) lsr off else 0 in
+  let hi = if off + w > limb_bits && limb + 1 < n then t.(limb + 1) lsl (limb_bits - off) else 0 in
+  (lo lor hi) land ((1 lsl w) - 1)
+
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  let out = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  for i = 0 to len - 1 do
+    let byte = Char.code s.[len - 1 - i] in
+    let limb = 8 * i / limb_bits and off = 8 * i mod limb_bits in
+    out.(limb) <- out.(limb) lor ((byte lsl off) land limb_mask);
+    if off > limb_bits - 8 then out.(limb + 1) <- out.(limb + 1) lor (byte lsr (limb_bits - off))
+  done;
+  normalize out
 
 let to_bytes_be ?pad_to t =
-  let n_bytes = (bit_length t + 7) / 8 in
-  let n_bytes = max n_bytes 1 in
-  let buf = Bytes.make n_bytes '\x00' in
-  let v = ref t in
-  for i = n_bytes - 1 downto 0 do
-    let q, r = divmod !v (of_int 256) in
-    let d = match to_int r with Some d -> d | None -> assert false in
-    Bytes.set buf i (Char.chr d);
-    v := q
+  let n_bytes = max 1 ((bit_length t + 7) / 8) in
+  let width = match pad_to with Some w when w > n_bytes -> w | _ -> n_bytes in
+  String.init width (fun i -> Char.chr (bits_at t (8 * (width - 1 - i)) 8))
+
+(* ---- Montgomery arithmetic (odd moduli) ----
+
+   For an odd modulus m of n limbs and R = 2^(31n), a residue a is held in
+   Montgomery form, aR mod m, as exactly n limbs (not normalized).
+   [mont_mul] computes abR^-1 mod m by CIOS (Koc, Acar & Kaliski, IEEE
+   Micro 1996), with the multiply and reduce passes fused into one loop
+   over two carry chains.  Each step adds one limb product to a limb and a
+   carry: at most (2^31-1)^2 + 2(2^31-1) = 2^62 - 1 = max_int, so nothing
+   leaves a native int and nothing is allocated. *)
+
+type mont = {
+  m : int array;  (* the modulus, n limbs *)
+  m' : int;  (* -m^-1 mod 2^31 *)
+  r2 : int array;  (* R^2 mod m: a Montgomery product with it enters the form *)
+}
+
+let pad (a : t) n =
+  let out = Array.make n 0 in
+  Array.blit a 0 out 0 (Array.length a);
+  out
+
+let mont_ctx (m : t) =
+  let n = Array.length m in
+  (* Newton's step doubles the correct low bits of m0^-1: 1, 2, 4, ..., 32. *)
+  let m0 = m.(0) in
+  let inv = ref 1 in
+  for _ = 1 to 5 do
+    inv := (!inv * ((2 - (m0 * !inv)) land limb_mask)) land limb_mask
   done;
-  let s = Bytes.unsafe_to_string buf in
-  match pad_to with
-  | None -> s
-  | Some w when w <= n_bytes -> s
-  | Some w -> String.make (w - n_bytes) '\x00' ^ s
+  { m; m' = (base - !inv) land limb_mask; r2 = pad (rem (shift_left one (2 * limb_bits * n)) m) n }
+
+(* The accumulator [mont_mul] works in: n + 1 limbs.  One per caller, never
+   shared, so concurrent exponentiations do not interfere. *)
+let scratch ctx = Array.make (Array.length ctx.m + 1) 0
+
+(* [dst] <- [a]*[b]*R^-1 mod m, for a, b < m.  [dst] may alias [a] or [b]:
+   it is written only after both are read for the last time.  The length
+   check at entry is what makes the unchecked reads of the inner loop, the
+   hottest code under signature verification, safe. *)
+let mont_mul ctx (t : int array) (dst : int array) (a : int array) (b : int array) =
+  let m = ctx.m and m' = ctx.m' in
+  let n = Array.length m in
+  if Array.length t <= n || Array.length a < n || Array.length b < n || Array.length dst < n then
+    invalid_arg "Bignum.mont_mul";
+  Array.fill t 0 (n + 1) 0;
+  for i = 0 to n - 1 do
+    let bi = b.(i) in
+    let x = t.(0) + (a.(0) * bi) in
+    let c1 = ref (x lsr limb_bits) in
+    let u = ((x land limb_mask) * m') land limb_mask in
+    let c2 = ref (((x land limb_mask) + (u * m.(0))) lsr limb_bits) in
+    for j = 1 to n - 1 do
+      let x = Array.unsafe_get t j + (Array.unsafe_get a j * bi) + !c1 in
+      c1 := x lsr limb_bits;
+      let y = (x land limb_mask) + (u * Array.unsafe_get m j) + !c2 in
+      c2 := y lsr limb_bits;
+      Array.unsafe_set t (j - 1) (y land limb_mask)
+    done;
+    (* t stays below 2m, so its top limb is 0 or 1. *)
+    let top = t.(n) + !c1 + !c2 in
+    t.(n - 1) <- top land limb_mask;
+    t.(n) <- top lsr limb_bits
+  done;
+  let i = ref (n - 1) in
+  while !i >= 0 && t.(!i) = m.(!i) do
+    decr i
+  done;
+  if t.(n) <> 0 || !i < 0 || t.(!i) > m.(!i) then begin
+    let borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let d = t.(i) - m.(i) - !borrow in
+      dst.(i) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else Array.blit t 0 dst 0 n
+
+let to_mont ctx t x =
+  let n = Array.length ctx.m in
+  let out = pad (rem x ctx.m) n in
+  mont_mul ctx t out out ctx.r2;
+  out
+
+let of_mont ctx t x =
+  let out = Array.make (Array.length ctx.m) 0 in
+  mont_mul ctx t out x (pad one (Array.length ctx.m));
+  normalize out
+
+(* [tbl.(d)] = base^d in Montgomery form, for d < 2^w. *)
+let window_table ctx t base_m w =
+  let tbl = Array.make (1 lsl w) base_m in
+  tbl.(0) <- to_mont ctx t one;
+  for d = 2 to (1 lsl w) - 1 do
+    let next = Array.make (Array.length ctx.m) 0 in
+    mont_mul ctx t next tbl.(d - 1) base_m;
+    tbl.(d) <- next
+  done;
+  tbl
+
+(* The product of tbl^e over [terms], in Montgomery form, by fixed w-bit
+   windows scanned from the top: one shared run of squarings, with each
+   exponent's window digit multiplied in as it passes (Shamir's trick when
+   there are two terms). *)
+let pow_product ctx t w terms =
+  let acc = Array.copy (fst (List.hd terms)).(0) in
+  let started = ref false in
+  let nbits = List.fold_left (fun a (_, e) -> max a (bit_length e)) 0 terms in
+  for i = ((nbits + w - 1) / w) - 1 downto 0 do
+    if !started then
+      for _ = 1 to w do
+        mont_mul ctx t acc acc acc
+      done;
+    List.iter
+      (fun (tbl, e) ->
+        let d = bits_at e (i * w) w in
+        if d <> 0 then
+          if !started then mont_mul ctx t acc acc tbl.(d)
+          else begin
+            Array.blit tbl.(d) 0 acc 0 (Array.length acc);
+            started := true
+          end)
+      terms
+  done;
+  acc
+
+(* The window width minimising table building (2^w - 2 products) plus one
+   product per window (nbits / w), for an nbits-bit exponent. *)
+let window_bits nbits =
+  if nbits <= 4 then 1
+  else if nbits <= 24 then 2
+  else if nbits <= 96 then 3
+  else if nbits <= 320 then 4
+  else 5
+
+(* Right-to-left square-and-multiply with a full division per step: the
+   path for even moduli, where Montgomery reduction does not apply. *)
+let mod_pow_even b e m =
+  let result = ref one in
+  let b = ref (rem b m) in
+  let nbits = bit_length e in
+  for i = 0 to nbits - 1 do
+    if test_bit e i then result := rem (mul !result !b) m;
+    if i < nbits - 1 then b := rem (mul !b !b) m
+  done;
+  !result
 
 let mod_pow b e m =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
+  else if is_even m then mod_pow_even b e m
   else begin
-    let result = ref one in
-    let b = ref (rem b m) in
-    let nbits = bit_length e in
-    for i = 0 to nbits - 1 do
-      if test_bit e i then result := rem (mul !result !b) m;
-      if i < nbits - 1 then b := rem (mul !b !b) m
-    done;
-    !result
+    let ctx = mont_ctx m in
+    let t = scratch ctx in
+    let w = window_bits (bit_length e) in
+    of_mont ctx t (pow_product ctx t w [ (window_table ctx t (to_mont ctx t b) w, e) ])
   end
+
+(* rows.(i).(d) = g^(d * 2^(w*i)) in Montgomery form, for d < 2^w. *)
+type fixed_base = { ctx : mont; rows : int array array array }
+
+let fixed_w = 4
+
+let fixed_base g m ~max_bits =
+  if is_even m || compare m one <= 0 then
+    invalid_arg "Bignum.fixed_base: modulus must be odd and > 1";
+  let ctx = mont_ctx m in
+  let t = scratch ctx in
+  let rows = Array.make (max 1 ((max_bits + fixed_w - 1) / fixed_w)) [||] in
+  let g_i = ref (to_mont ctx t g) in
+  for i = 0 to Array.length rows - 1 do
+    rows.(i) <- window_table ctx t !g_i fixed_w;
+    (* g_(i+1) = g_i^(2^w) = g_i^(2^w - 1) * g_i *)
+    let next = Array.make (Array.length m) 0 in
+    mont_mul ctx t next rows.(i).((1 lsl fixed_w) - 1) !g_i;
+    g_i := next
+  done;
+  { ctx; rows }
+
+let fixed_base_pow fb e =
+  let t = scratch fb.ctx in
+  let nrows = Array.length fb.rows in
+  if bit_length e > nrows * fixed_w then
+    of_mont fb.ctx t (pow_product fb.ctx t fixed_w [ (fb.rows.(0), e) ])
+  else begin
+    (* One product per nonzero window digit, and no squarings. *)
+    let acc = Array.copy fb.rows.(0).(0) in
+    for i = 0 to nrows - 1 do
+      let d = bits_at e (i * fixed_w) fixed_w in
+      if d <> 0 then mont_mul fb.ctx t acc acc fb.rows.(i).(d)
+    done;
+    of_mont fb.ctx t acc
+  end
+
+let fixed_base_pow2 fb e1 b e2 =
+  let t = scratch fb.ctx in
+  let tbl = window_table fb.ctx t (to_mont fb.ctx t b) fixed_w in
+  of_mont fb.ctx t (pow_product fb.ctx t fixed_w [ (fb.rows.(0), e1); (tbl, e2) ])
 
 let gcd a b =
   let rec go a b = if is_zero b then a else go b (rem a b) in

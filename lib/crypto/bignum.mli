@@ -6,8 +6,15 @@
     naturals removes a whole class of sign-handling bugs.  Subtraction of a
     larger number from a smaller one raises [Invalid_argument].
 
-    Division uses Knuth's Algorithm D over 31-bit limbs, so modular
-    exponentiation on 512–1024-bit operands is fast enough for tests. *)
+    Division uses Knuth's Algorithm D over 31-bit limbs.
+
+    Modular exponentiation by an odd modulus runs in Montgomery form: CIOS
+    multiplication on 31-bit limbs, where every limb product plus carry
+    stays within [max_int], over fixed exponent windows.  Each Montgomery
+    product works in one scratch accumulator allocated per exponentiation
+    and allocates nothing; what an exponentiation allocates is its window
+    table and its result.  An even modulus falls back to square-and-multiply
+    with a full division per step.  None of this is constant-time. *)
 
 type t
 
@@ -59,7 +66,30 @@ val bit_length : t -> int
 val test_bit : t -> int -> bool
 
 val mod_pow : t -> t -> t -> t
-(** [mod_pow base exp m] = base^exp mod m. Raises on [m = 0]. *)
+(** [mod_pow base exp m] = base^exp mod m. Raises on [m = 0].  Any [base]
+    is accepted, including [base >= m]. *)
+
+type fixed_base
+(** Precomputed powers of one base [g] modulo one odd modulus:
+    g^(d·16^i) for every 4-bit digit [d] and every window [i] of the
+    exponent width it was built for.  Immutable once built, so one table
+    may serve any number of threads and domains at once. *)
+
+val fixed_base : t -> t -> max_bits:int -> fixed_base
+(** [fixed_base g m ~max_bits] tabulates [g] modulo [m] for exponents of
+    up to [max_bits] bits: 16 residues per 4 bits of exponent.  Raises
+    [Invalid_argument] unless [m] is odd and greater than 1. *)
+
+val fixed_base_pow : fixed_base -> t -> t
+(** [fixed_base_pow fb e] = g^e mod m: one Montgomery product per nonzero
+    4-bit digit of [e], with no squarings.  Exponents wider than the table
+    fall back to windowed exponentiation with its first row. *)
+
+val fixed_base_pow2 : fixed_base -> t -> t -> t -> t
+(** [fixed_base_pow2 fb e1 b e2] = g^e1 · b^e2 mod m by Shamir's
+    simultaneous exponentiation: one shared run of squarings over 4-bit
+    windows, with g's digits taken from the table and b's from a 16-entry
+    table built per call. *)
 
 val mod_inverse : t -> t -> t option
 (** [mod_inverse a m] is [Some x] with [a*x = 1 (mod m)] when

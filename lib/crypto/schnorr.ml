@@ -1,4 +1,4 @@
-type params = { p : Bignum.t; q : Bignum.t; g : Bignum.t }
+type params = { p : Bignum.t; q : Bignum.t; g : Bignum.t; g_table : Bignum.fixed_base }
 
 type public = { pub_params : params; y : Bignum.t }
 type secret = { sec_params : params; x : Bignum.t }
@@ -20,7 +20,9 @@ let generate_params rng ~p_bits ~q_bits =
     let g = Bignum.mod_pow h k p in
     if Bignum.equal g Bignum.one then find_g () else g
   in
-  { p; q; g = find_g () }
+  let g = find_g () in
+  (* Every exponent of g is below q. *)
+  { p; q; g; g_table = Bignum.fixed_base g p ~max_bits:q_bits }
 
 let default =
   lazy (generate_params (Rdb_des.Rng.create 0x52444253436E7231L) ~p_bits:256 ~q_bits:160)
@@ -29,7 +31,7 @@ let default_params () = Lazy.force default
 
 let generate rng params =
   let x = Bignum.add Bignum.one (Bignum.random_below rng (Bignum.sub params.q Bignum.one)) in
-  let y = Bignum.mod_pow params.g x params.p in
+  let y = Bignum.fixed_base_pow params.g_table x in
   { public = { pub_params = params; y }; secret = { sec_params = params; x } }
 
 let q_bytes params = (Bignum.bit_length params.q + 7) / 8
@@ -43,7 +45,7 @@ let sign rng secret msg =
   let params = secret.sec_params in
   let rec go () =
     let k = Bignum.add Bignum.one (Bignum.random_below rng (Bignum.sub params.q Bignum.one)) in
-    let r = Bignum.mod_pow params.g k params.p in
+    let r = Bignum.fixed_base_pow params.g_table k in
     let e = challenge params r msg in
     if Bignum.is_zero e then go ()
     else begin
@@ -69,11 +71,11 @@ let verify public msg ~signature =
     then false
     else begin
       (* r' = g^s * y^(-e) = g^s * y^(q-e) mod p; then H(r' || m) must be e. *)
-      let gs = Bignum.mod_pow params.g s params.p in
-      let y_neg_e = Bignum.mod_pow public.y (Bignum.sub params.q e) params.p in
-      let r' = Bignum.rem (Bignum.mul gs y_neg_e) params.p in
+      let r' = Bignum.fixed_base_pow2 params.g_table s public.y (Bignum.sub params.q e) in
       Bignum.equal (challenge params r' msg) e
     end
   end
+
+let public_value public = public.y
 
 let signature_size params = 2 * q_bytes params

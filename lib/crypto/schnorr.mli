@@ -8,9 +8,24 @@
     {!Cost_model}; this module makes the signing path real and testable.
 
     Domain parameters are DSA-style: primes [p], [q] with [q | p - 1] and a
-    generator [g] of the order-[q] subgroup, generated deterministically. *)
+    generator [g] of the order-[q] subgroup, generated deterministically.
 
-type params = { p : Bignum.t; q : Bignum.t; g : Bignum.t }
+    Every exponentiation is Montgomery arithmetic in {!Bignum}.  The
+    parameters carry a fixed-base table for [g] ({!Bignum.fixed_base}),
+    built once with them and immutable afterwards, so key generation and
+    signing (g^k) cost one modular product per 4-bit digit of the exponent
+    and no squarings.  Verification computes g^s·y^(q-e) in one pass by
+    Shamir's simultaneous exponentiation, taking g's window from that
+    table.  Nothing is mutated after construction, so keys and parameters
+    may be shared by concurrent verifiers on any number of threads or
+    domains. *)
+
+type params = private {
+  p : Bignum.t;
+  q : Bignum.t;
+  g : Bignum.t;
+  g_table : Bignum.fixed_base;  (** powers of [g] mod [p] for exponents below [q] *)
+}
 
 type public
 type secret
@@ -31,5 +46,8 @@ val sign : Rdb_des.Rng.t -> secret -> string -> string
 (** Signature is [e || s], each element padded to the byte width of [q]. *)
 
 val verify : public -> string -> signature:string -> bool
+
+val public_value : public -> Bignum.t
+(** The group element y = g^x that verification checks against. *)
 
 val signature_size : params -> int

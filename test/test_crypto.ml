@@ -252,6 +252,80 @@ let prop_mod_pow_small =
       | Some v -> v = naive
       | None -> false)
 
+(* Plain left-to-right square-and-multiply with a full division per step:
+   the reference the library's Montgomery and even-modulus paths must both
+   agree with. *)
+let ref_mod_pow b e m =
+  if Bignum.equal m Bignum.one then Bignum.zero
+  else begin
+    let b = Bignum.rem b m in
+    let acc = ref Bignum.one in
+    for i = Bignum.bit_length e - 1 downto 0 do
+      acc := Bignum.rem (Bignum.mul !acc !acc) m;
+      if Bignum.test_bit e i then acc := Bignum.rem (Bignum.mul !acc b) m
+    done;
+    !acc
+  end
+
+(* An odd or even modulus of up to [bits] bits, at least 1. *)
+let arb_modulus bits =
+  QCheck.map
+    (fun (m, odd) ->
+      let m = if Bignum.is_even m = odd then Bignum.add m Bignum.one else m in
+      if Bignum.is_zero m then Bignum.one else m)
+    (QCheck.pair (arb_bignum bits) QCheck.bool)
+
+let prop_mod_pow_reference =
+  QCheck.Test.make ~name:"bignum: mod_pow equals square-and-multiply (odd and even m)" ~count:150
+    (QCheck.triple (arb_bignum 600) (arb_bignum 300) (arb_modulus 300))
+    (fun (b, e, m) -> Bignum.equal (Bignum.mod_pow b e m) (ref_mod_pow b e m))
+
+let test_mod_pow_edges () =
+  let hex = Bignum.of_hex in
+  let cases =
+    [
+      ("m = 1", bn 12345, bn 77, Bignum.one);
+      ("exponent 0, odd m", bn 12345, Bignum.zero, bn 1001);
+      ("exponent 0, even m", bn 12345, Bignum.zero, bn 1000);
+      ("base 0", Bignum.zero, bn 5, bn 1001);
+      ("base = m", bn 1001, bn 3, bn 1001);
+      ("base > m, odd m", hex "fffffffffffffffffffffffff1", hex "1234567", hex "7fffffff");
+      ("base > m, even m", hex "fffffffffffffffffffffffff1", hex "1234567", hex "80000000");
+      ("m one limb, odd", bn 3, hex "ffffffffffff", bn 0x7fffffff);
+      ( "m two full limbs",
+        bn 7,
+        hex "deadbeef",
+        Bignum.sub (Bignum.shift_left Bignum.one 62) Bignum.one );
+      ("m = 3", bn 2, bn 10, bn 3);
+    ]
+  in
+  List.iter
+    (fun (name, b, e, m) ->
+      check Alcotest.string name
+        (Bignum.to_hex (ref_mod_pow b e m))
+        (Bignum.to_hex (Bignum.mod_pow b e m)))
+    cases;
+  Alcotest.check_raises "m = 0" Division_by_zero (fun () ->
+      ignore (Bignum.mod_pow Bignum.one Bignum.one Bignum.zero));
+  Alcotest.check_raises "fixed base needs an odd modulus"
+    (Invalid_argument "Bignum.fixed_base: modulus must be odd and > 1") (fun () ->
+      ignore (Bignum.fixed_base (bn 3) (bn 1000) ~max_bits:8))
+
+let prop_fixed_base_pow2 =
+  QCheck.Test.make ~name:"bignum: fixed-base and double exponentiation equal single ones" ~count:100
+    QCheck.(
+      pair (triple (arb_bignum 300) (arb_bignum 200) (arb_bignum 300))
+        (triple (arb_bignum 300) (arb_bignum 260) (int_bound 200)))
+    (fun ((g, e1, m), (b, e2, max_bits)) ->
+      let m = if Bignum.is_even m then Bignum.add m Bignum.one else m in
+      QCheck.assume (Bignum.compare m Bignum.one > 0);
+      let fb = Bignum.fixed_base g m ~max_bits in
+      let gp = ref_mod_pow g e1 m in
+      (* e1 may be wider than the table: that path falls back to windows. *)
+      Bignum.equal (Bignum.fixed_base_pow fb e1) gp
+      && Bignum.equal (Bignum.fixed_base_pow2 fb e1 b e2)
+           (Bignum.rem (Bignum.mul gp (ref_mod_pow b e2 m)) m))
+
 let test_mod_inverse () =
   (match Bignum.mod_inverse (bn 3) (bn 10) with
   | Some x -> check Alcotest.(option int) "3^-1 mod 10" (Some 7) (Bignum.to_int x)
@@ -348,6 +422,80 @@ let prop_schnorr_random_messages =
       let kp = Schnorr.generate rng (Schnorr.default_params ()) in
       let s = Schnorr.sign rng kp.Schnorr.secret msg in
       Schnorr.verify kp.Schnorr.public msg ~signature:s)
+
+(* The verification formula written out with the reference exponentiation:
+   r' = g^s * y^(q-e) mod p, accepted iff H(r' || msg) mod q = e. *)
+let ref_schnorr_verify public msg signature =
+  let params = Schnorr.default_params () in
+  let p = params.Schnorr.p and q = params.Schnorr.q and g = params.Schnorr.g in
+  let w = (Bignum.bit_length q + 7) / 8 in
+  String.length signature = 2 * w
+  &&
+  let e = Bignum.of_bytes_be (String.sub signature 0 w) in
+  let s = Bignum.of_bytes_be (String.sub signature w w) in
+  (not (Bignum.is_zero e))
+  && Bignum.compare e q < 0
+  && Bignum.compare s q < 0
+  &&
+  let y = Schnorr.public_value public in
+  let r' = Bignum.rem (Bignum.mul (ref_mod_pow g s p) (ref_mod_pow y (Bignum.sub q e) p)) p in
+  let c = Bignum.rem (Bignum.of_bytes_be (Sha256.digest (Bignum.to_bytes_be r' ^ msg))) q in
+  Bignum.equal c e
+
+let flip_byte str i = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x5a) else c) str
+
+(* Valid signatures and corrupted ones: flipped bytes in e, in s and in the
+   message, e = 0, s >= q, and wrong lengths. *)
+let schnorr_corpus () =
+  let rng = Rng.create 31L in
+  let params = Schnorr.default_params () in
+  let kp = Schnorr.generate rng params in
+  let w = Schnorr.signature_size params / 2 in
+  let q_bytes = Bignum.to_bytes_be ~pad_to:w params.Schnorr.q in
+  let cases =
+    List.concat_map
+      (fun i ->
+        let msg = Printf.sprintf "txn %d payload %s" i (String.make (i mod 7) 'x') in
+        let sg = Schnorr.sign rng kp.Schnorr.secret msg in
+        let e = String.sub sg 0 w and s = String.sub sg w w in
+        [
+          (msg, sg);
+          (msg, flip_byte sg (i mod w));
+          (msg, flip_byte sg (w + (i mod w)));
+          (flip_byte msg (i mod String.length msg), sg);
+          (msg, String.make w '\x00' ^ s);
+          (msg, e ^ q_bytes);
+          (msg, e ^ String.make w '\xff');
+          (msg, String.sub sg 0 ((2 * w) - 1));
+          (msg, sg ^ "\x00");
+          (msg, "");
+        ])
+      (List.init 6 Fun.id)
+  in
+  (kp.Schnorr.public, cases)
+
+let test_schnorr_reference_verdicts () =
+  let public, cases = schnorr_corpus () in
+  List.iteri
+    (fun i (msg, sg) ->
+      let verdict = Schnorr.verify public msg ~signature:sg in
+      Alcotest.(check bool) (Printf.sprintf "case %d matches the formula" i)
+        (ref_schnorr_verify public msg sg) verdict;
+      (* Every tenth case is the untouched signature. *)
+      Alcotest.(check bool) (Printf.sprintf "case %d verdict" i) (i mod 10 = 0) verdict)
+    cases
+
+(* Replicas verify on transport reader threads: two domains verifying
+   through one key and one parameter table must agree with a serial run. *)
+let test_schnorr_concurrent_domains () =
+  let public, cases = schnorr_corpus () in
+  let verdicts () = List.map (fun (msg, sg) -> Schnorr.verify public msg ~signature:sg) cases in
+  let serial = verdicts () in
+  let run () = List.init 3 (fun _ -> verdicts ()) in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  List.iter
+    (fun rounds -> List.iter (fun v -> Alcotest.(check (list bool)) "same verdicts" serial v) rounds)
+    [ Domain.join d1; Domain.join d2 ]
 
 (* ---- Signer façade ------------------------------------------------------------ *)
 
@@ -448,6 +596,9 @@ let () =
           qtest prop_mul_commutes;
           qtest prop_add_sub_roundtrip;
           qtest prop_mod_pow_small;
+          Alcotest.test_case "mod_pow edge cases" `Quick test_mod_pow_edges;
+          qtest prop_mod_pow_reference;
+          qtest prop_fixed_base_pow2;
           qtest prop_mod_inverse;
         ] );
       ( "rsa",
@@ -461,6 +612,9 @@ let () =
           Alcotest.test_case "roundtrip + tamper" `Quick test_schnorr_roundtrip;
           Alcotest.test_case "cross-key rejection" `Quick test_schnorr_cross_key;
           qtest prop_schnorr_random_messages;
+          Alcotest.test_case "verdicts match the reference formula" `Quick
+            test_schnorr_reference_verdicts;
+          Alcotest.test_case "two domains, same verdicts" `Quick test_schnorr_concurrent_domains;
         ] );
       ( "signer",
         [
