@@ -11,13 +11,6 @@ module Wire = Rdb_core.Wire
 module Signer = Rdb_crypto.Signer
 module Stats = Rdb_des.Stats
 
-let parse_peers s =
-  String.split_on_char ',' s
-  |> List.mapi (fun i hp ->
-         match String.split_on_char ':' hp with
-         | [ host; port ] -> (i, (host, int_of_string port))
-         | _ -> failwith ("bad peer: " ^ hp))
-
 type track = {
   mutable results : (string * int) list;  (** result -> distinct reply count *)
   mutable senders : int list;
@@ -26,7 +19,7 @@ type track = {
 }
 
 let run peers_s client_id count window =
-  let peers = parse_peers peers_s in
+  let peers = Wire.parse_peers peers_s in
   let n = List.length peers in
   let f = (n - 1) / 3 in
   let quorum = f + 1 in

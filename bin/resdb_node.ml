@@ -1,9 +1,12 @@
 (* resdb_node: one ResilientDB replica as a real networked process.
 
-   Runs the pure PBFT core over TCP with the binary wire codec, CMAC
-   authenticators on consensus messages, digital-signature verification on
-   client requests, a key-value execution layer and a certificate-linked
-   ledger.  A 4-node cluster on one machine:
+   A thin shell around Rdb_core.Replica_host, the replica logic this node
+   shares with the in-process Local_runtime (admission, batching, the PBFT
+   core, CMAC checks, key-value execution, the ledger, and state transfer,
+   which the node asks for when it falls behind a stable checkpoint and
+   answers for lagging peers).  This file adds the CLI, the Tcp_transport
+   and Wire wiring, the node lock, the map from client ids to reply
+   addresses and the progress loop.  A 4-node cluster on one machine:
 
      resdb_sim_build=_build/default/bin
      for i in 0 1 2 3; do
@@ -20,8 +23,8 @@
    key ceremony of a permissioned deployment. *)
 
 open Cmdliner
-module Pbft = Rdb_consensus.Pbft_replica
-module Action = Rdb_consensus.Action
+module Host = Rdb_core.Replica_host
+module Core = Rdb_consensus.Core
 module Msg = Rdb_consensus.Message
 module Config = Rdb_consensus.Config
 module Tcp = Rdb_net.Tcp_transport
@@ -31,56 +34,10 @@ module Cmac = Rdb_crypto.Cmac
 module Sha256 = Rdb_crypto.Sha256
 module Mem_store = Rdb_storage.Mem_store
 module Ledger = Rdb_chain.Ledger
-module Block = Rdb_chain.Block
 
 let group_mac = Cmac.of_secret "resdb-demo-mac!!"
 
-let client_verifier () =
-  Signer.verifier (Signer.create (Rdb_des.Rng.create 4242L) Signer.Ed25519)
-
-type pending_req = { p_payload : string; p_host : string; p_port : int }
-
-(* The (client, txn_id) keys this replica has executed.  Clients number
-   their transactions upward from 0, so one client's set is a watermark,
-   below which every id is executed, plus the executed ids above it: its
-   size is bounded by how far execution runs out of id order, not by how
-   many transactions the client has sent. *)
-module Executed = struct
-  type client = { mutable below : int; above : (int, unit) Hashtbl.t }
-
-  let create () : (int, client) Hashtbl.t = Hashtbl.create 16
-
-  let mem t (client, txn_id) =
-    match Hashtbl.find_opt t client with
-    | Some c -> (0 <= txn_id && txn_id < c.below) || Hashtbl.mem c.above txn_id
-    | None -> false
-
-  let add t (client, txn_id) =
-    let c =
-      match Hashtbl.find_opt t client with
-      | Some c -> c
-      | None ->
-        let c = { below = 0; above = Hashtbl.create 64 } in
-        Hashtbl.replace t client c;
-        c
-    in
-    if not (0 <= txn_id && txn_id < c.below) then begin
-      Hashtbl.replace c.above txn_id ();
-      while Hashtbl.mem c.above c.below do
-        Hashtbl.remove c.above c.below;
-        c.below <- c.below + 1
-      done
-    end
-end
-
-let parse_peers s =
-  String.split_on_char ',' s
-  |> List.mapi (fun i hp ->
-         match String.split_on_char ':' hp with
-         | [ host; port ] -> (i, (host, int_of_string port))
-         | _ -> failwith ("bad peer: " ^ hp))
-
-let apply_kv store payload =
+let apply_kv store ~client:_ ~payload =
   match String.split_on_char ' ' payload with
   | [ "SET"; k; v ] ->
     Mem_store.put store k v;
@@ -92,167 +49,98 @@ let apply_kv store payload =
   | _ -> "ERR"
 
 let run id peers_s batch_size duration verbose =
-  let peers = parse_peers peers_s in
+  let peers = Wire.parse_peers peers_s in
   let n = List.length peers in
   let _, (_, my_port) = List.nth peers id in
-  let cfg = Config.make ~n () in
-  let core = Pbft.create cfg ~id in
-  let store = Mem_store.create () in
-  let ledger = Ledger.create ~primary_id:0 in
-  let verifier = client_verifier () in
+  let config = Config.make ~n () in
+  let verifier = Signer.verifier (Signer.create (Rdb_des.Rng.create 4242L) Signer.Ed25519) in
   let lock = Mutex.create () in
-  (* Requests are keyed by (client, txn_id): transaction ids are only
-     unique per client.  A body is held from arrival until its batch
-     executes; after that only its key is remembered, in [executed], so a
-     duplicate is still refused but the payload is freed. *)
-  let pending : (int * int) Queue.t = Queue.create () in
-  let requests : (int * int, pending_req) Hashtbl.t = Hashtbl.create 256 in
-  let executed = Executed.create () in
-  let admit key req =
-    if not (Hashtbl.mem requests key || Executed.mem executed key) then begin
-      Hashtbl.replace requests key req;
-      true
-    end
-    else false
-  in
-  let executed_txns = ref 0 in
   let transport = ref None in
   let tp () = Option.get !transport in
   (* Client ids are mapped into the transport directory above the replica
-     id space. *)
+     id space; [reply_to] keeps each client's address for the attachments
+     that carry its requests to the backups. *)
   let client_peer_id c = n + c in
-  let send_consensus ?(attachments = []) ~to_ msg =
-    let tag = Cmac.mac group_mac (Msg.auth_string msg) in
-    ignore (Tcp.send (tp ()) ~to_ (Wire.encode (Wire.Consensus { msg; tag; attachments })))
+  let reply_to : (int, string * int) Hashtbl.t = Hashtbl.create 16 in
+  let learn_client client addr =
+    Hashtbl.replace reply_to client addr;
+    Tcp.add_peer (tp ()) (client_peer_id client) addr
   in
-  (* Pre-prepares ship the request bodies and client reply addresses the
-     batch references: the protocol core itself is payload-agnostic. *)
-  let attachments_for msg =
-    match msg with
-    | Msg.Pre_prepare { batch; _ } ->
-      List.filter_map
-        (fun (r : Msg.request_ref) ->
-          match Hashtbl.find_opt requests (r.Msg.client, r.Msg.txn_id) with
-          | Some req ->
-            Some
-              {
-                Wire.a_txn_id = r.Msg.txn_id;
-                a_client = r.Msg.client;
-                a_reply_host = req.p_host;
-                a_reply_port = req.p_port;
-                a_payload = req.p_payload;
-              }
-          | None -> None)
-        batch.Msg.reqs
-    | _ -> []
+  (* The reply address of the Request frame being admitted.  It is learned
+     only once the request's signature checks out, before the batch that
+     may carry it to the backups is formed, so a forged frame cannot
+     redirect another client's replies. *)
+  let arriving = ref ("", 0) in
+  let send ~dst msg ~tag bodies =
+    let attachments =
+      List.map
+        (fun (r : Host.request) ->
+          let a_reply_host, a_reply_port = Hashtbl.find reply_to r.Host.client in
+          {
+            Wire.a_txn_id = r.Host.txn_id;
+            a_client = r.Host.client;
+            a_reply_host;
+            a_reply_port;
+            a_payload = r.Host.payload;
+          })
+        bodies
+    in
+    ignore (Tcp.send (tp ()) ~to_:dst (Wire.encode (Wire.Consensus { msg; tag; attachments })))
   in
-  let broadcast_consensus msg =
-    let attachments = attachments_for msg in
-    List.iter (fun (pid, _) -> if pid <> id then send_consensus ~attachments ~to_:pid msg) peers
+  let reply ~client = function
+    | Msg.Reply { txn_id; from; result; _ } ->
+      ignore
+        (Tcp.send (tp ()) ~to_:(client_peer_id client)
+           (Wire.encode (Wire.Reply { txn_id; from; result })))
+    | _ -> ()
   in
-  let rec dispatch actions =
-    List.iter
-      (fun a ->
-        match a with
-        | Action.Broadcast m -> broadcast_consensus m
-        | Action.Send (dst, m) -> send_consensus ~to_:dst m
-        | Action.Send_client (client, m) -> (
-          match m with
-          | Msg.Reply { txn_id; from; result; _ } ->
-            ignore
-              (Tcp.send (tp ()) ~to_:(client_peer_id client)
-                 (Wire.encode (Wire.Reply { txn_id; from; result })))
-          | _ -> ())
-        | Action.Execute batch ->
-          let results =
-            List.map
-              (fun (r : Msg.request_ref) ->
-                incr executed_txns;
-                let key = (r.Msg.client, r.Msg.txn_id) in
-                let result =
-                  match Hashtbl.find_opt requests key with
-                  | Some req -> apply_kv store req.p_payload
-                  | None -> "missing"
-                in
-                Hashtbl.remove requests key;
-                Executed.add executed key;
-                result)
-              batch.Msg.reqs
-          in
-          let cert = List.init (Config.commit_quorum cfg) (fun i -> (i, "share")) in
-          if Ledger.next_seq ledger = batch.Msg.seq then
-            Ledger.append ledger
-              {
-                Block.seq = batch.Msg.seq;
-                view = batch.Msg.view;
-                digest = batch.Msg.digest;
-                txn_count = List.length batch.Msg.reqs;
-                link = Block.Certificate cert;
-              };
-          let result = Sha256.hex (String.sub (Sha256.digest (String.concat "|" results)) 0 8) in
-          dispatch
-            (Pbft.handle_executed core ~seq:batch.Msg.seq ~state_digest:(Mem_store.digest store)
-               ~result)
-        | Action.Stable_checkpoint seq -> ignore (Ledger.prune_below ledger seq))
-      actions
+  let host =
+    Host.create ~config ~id ~core:(Core.pbft config ~id) ~ledger:(Ledger.create ~primary_id:0)
+      ~mac:group_mac ~batch_size ~exec_threads:1 ~footprint:None ~apply:apply_kv
+      ~verify:(fun (r : Host.request) ~signature ->
+        let ok =
+          Wire.verify_request verifier ~client:r.Host.client ~txn_id:r.Host.txn_id
+            ~payload:r.Host.payload ~signature
+        in
+        if ok then learn_client r.Host.client !arriving;
+        ok)
+      ~send ~reply
   in
-  let try_batch ~force =
-    if Pbft.is_primary core then begin
-      let form k =
-        let txns = List.init k (fun _ -> Queue.pop pending) in
-        let payloads = List.map (fun key -> (Hashtbl.find requests key).p_payload) txns in
-        let digest = Sha256.digest (String.concat "\x00" payloads) in
-        let reqs = List.map (fun (client, txn_id) -> { Msg.client; txn_id }) txns in
-        let wire = List.fold_left (fun a p -> a + String.length p) 0 payloads in
-        let _, actions = Pbft.propose core ~reqs ~digest ~wire_bytes:wire in
-        dispatch actions
-      in
-      while Queue.length pending >= batch_size do
-        form batch_size
-      done;
-      if force && not (Queue.is_empty pending) then form (Queue.length pending)
-    end
+  let locked f =
+    Mutex.lock lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
   in
   let on_message ~payload =
     match Wire.decode payload with
     | Error e -> if verbose then Printf.eprintf "[node %d] bad frame: %s\n%!" id e
     | Ok (Wire.Request { client; reply_host; reply_port; txn_id; payload; signature }) ->
-      if Wire.verify_request verifier ~client ~txn_id ~payload ~signature then begin
-        Mutex.lock lock;
-        Tcp.add_peer (tp ()) (client_peer_id client) (reply_host, reply_port);
-        if
-          admit (client, txn_id)
-            { p_payload = payload; p_host = reply_host; p_port = reply_port }
-        then Queue.push (client, txn_id) pending;
-        try_batch ~force:false;
-        Mutex.unlock lock
-      end
-      else if verbose then Printf.eprintf "[node %d] bad request signature\n%!" id
+      let admitted =
+        locked (fun () ->
+            arriving := (reply_host, reply_port);
+            Host.submit host { Host.client; txn_id; payload } ~signature)
+      in
+      if verbose && not admitted then
+        Printf.eprintf "[node %d] refused request %d/%d (duplicate or bad signature)\n%!" id
+          client txn_id
     | Ok (Wire.Consensus { msg; tag; attachments }) ->
-      if Cmac.verify group_mac (Msg.auth_string msg) ~tag then begin
-        Mutex.lock lock;
-        List.iter
-          (fun (a : Wire.attachment) ->
-            Tcp.add_peer (tp ()) (client_peer_id a.Wire.a_client) (a.Wire.a_reply_host, a.Wire.a_reply_port);
-            ignore
-              (admit (a.Wire.a_client, a.Wire.a_txn_id)
-                 {
-                   p_payload = a.Wire.a_payload;
-                   p_host = a.Wire.a_reply_host;
-                   p_port = a.Wire.a_reply_port;
-                 }))
-          attachments;
-        dispatch (Pbft.handle_message core msg);
-        Mutex.unlock lock
-      end
-      else if verbose then Printf.eprintf "[node %d] bad MAC\n%!" id
+      locked (fun () ->
+          match Host.authenticate host msg ~tag with
+          | Some msg ->
+            Host.deliver host msg
+              (List.map
+                 (fun { Wire.a_txn_id; a_client; a_reply_host; a_reply_port; a_payload } ->
+                   learn_client a_client (a_reply_host, a_reply_port);
+                   { Host.client = a_client; txn_id = a_txn_id; payload = a_payload })
+                 attachments)
+          | None -> if verbose then Printf.eprintf "[node %d] bad MAC\n%!" id)
     | Ok (Wire.Reply _) -> ()
   in
   let t = Tcp.create ~port:my_port ~on_message () in
   transport := Some t;
   Tcp.set_peers t peers;
+  let core = Host.core host in
   Printf.printf "[node %d] listening on port %d (%s), n=%d f=%d batch=%d\n%!" id my_port
-    (if Pbft.is_primary core then "PRIMARY" else "backup")
+    (if Core.leads_any core then "PRIMARY" else "backup")
     n ((n - 1) / 3) batch_size;
   (* Flush partial batches and report progress. *)
   let start = Unix.gettimeofday () in
@@ -261,25 +149,24 @@ let run id peers_s batch_size duration verbose =
   let running = ref true in
   while !running do
     Thread.delay 0.005;
-    Mutex.lock lock;
-    try_batch ~force:true;
-    Mutex.unlock lock;
+    locked (fun () -> Host.flush host);
     let now = Unix.gettimeofday () in
     if now -. !last_report >= 2.0 then begin
-      Mutex.lock lock;
-      let ex = !executed_txns in
-      let seq = Pbft.last_executed core in
-      Mutex.unlock lock;
+      let ex, seq, blocks =
+        locked (fun () ->
+            (Host.executed_txns host, Core.last_executed core, Ledger.length (Host.ledger host)))
+      in
       Printf.printf "[node %d] executed %d txns (%.0f/s), seq %d, chain %d blocks\n%!" id ex
         (float_of_int (ex - !last_count) /. (now -. !last_report))
-        seq (Ledger.length ledger);
+        seq blocks;
       last_count := ex;
       last_report := now
     end;
     if duration > 0.0 && now -. start > duration then running := false
   done;
-  Printf.printf "[node %d] shutting down: %d txns executed, state digest %s\n%!" id !executed_txns
-    (String.sub (Sha256.hex (Mem_store.digest store)) 0 16);
+  Printf.printf "[node %d] shutting down: %d txns executed, state digest %s\n%!" id
+    (Host.executed_txns host)
+    (String.sub (Sha256.hex (Mem_store.digest (Host.store host))) 0 16);
   Tcp.shutdown t;
   0
 

@@ -1,11 +1,13 @@
-(** One first-class-module interface over the three protocol cores.
+(** One first-class-module interface over the four protocol cores (PBFT,
+    HotStuff, Zyzzyva, multi-primary PBFT).
 
-    The hosting systems ({!Rdb_core.Cluster}, the real-clock local runtime)
-    used to branch on a closed [Core_pbft | Core_zyz | Core_multi] variant
-    at every dispatch site; every host-level feature (demand timers, state
-    transfer, checkpoint installation) then had to be written three times.
-    This module packs each core behind one signature so host code is
-    written once and new cores slot in without touching the hosts.
+    Two hosts drive the cores, and only through this module:
+    {!Rdb_core.Cluster}, the discrete-event deployment, and
+    {!Rdb_core.Replica_host}, the real-clock host that both
+    {!Rdb_core.Local_runtime} and [bin/resdb_node] wrap.  Each core is
+    packed behind one signature, so host-level features (demand timers,
+    state transfer, checkpoint installation) are written once per host and
+    a new core slots in without touching either.
 
     The cores themselves stay imperative; [step] returns the state anyway
     (physically the same value today) so a pure core can implement the

@@ -16,7 +16,16 @@
     - crash faults and primary view changes can be injected.
 
     Message delivery is FIFO and reliable between live replicas.  This is a
-    deterministic in-process harness, not a networked deployment. *)
+    deterministic in-process harness, not a networked deployment.
+
+    Each replica is a {!Replica_host}, the same host [bin/resdb_node] runs
+    over TCP: admission, batching, execution, the ledger, checkpoints and
+    state transfer (served and admitted) live there.  This module is the
+    in-process shell around [n] of them: the FIFO queue between them, the
+    crash set, the {!Rdb_consensus.Pbft_client} completions, the message
+    trace, {!force_view_change}, and each client's signed requests, held
+    until their results are accepted so a new primary can be handed them
+    again. *)
 
 type t
 

@@ -16,8 +16,7 @@
     which knobs belong together; the sub-records are that statement, the
     compiler enforces it (a flat record literal no longer type-checks
     outside this module), and {!Spec} is the single table the CLI flags
-    and campaign axis labels derive from.  {!Compat.make} keeps the old
-    flat keyword-argument surface alive, deprecated, for one release. *)
+    and campaign axis labels derive from. *)
 
 type protocol = Pbft | Zyzzyva | Hotstuff
 
@@ -224,8 +223,8 @@ module Obs : sig
 end
 
 (** The resolved configuration: one flat read surface over the structured
-    sub-records.  Private — read fields freely, construct via {!make} /
-    {!Compat.make}, update via the [map_*]/[with_*] functions. *)
+    sub-records.  Private — read fields freely, construct via {!make},
+    update via the [map_*]/[with_*] functions. *)
 type t = private {
   protocol : protocol;
   n : int;
@@ -354,66 +353,6 @@ val checkpoint_interval : t -> int
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on an inconsistent configuration. *)
-
-(** The deprecated flat constructor: every field as an optional keyword
-    argument over {!default}, exactly the surface the flat record literal
-    used to give.  Kept for one release so out-of-tree callers migrate on
-    their own schedule; in-tree code must use {!make} (CI greps for new
-    [Compat] uses outside this module and its test). *)
-module Compat : sig
-  val make :
-    ?protocol:protocol ->
-    ?n:int ->
-    ?clients:int ->
-    ?client_machines:int ->
-    ?batch_size:int ->
-    ?ops_per_txn:int ->
-    ?txn_wire_bytes:int ->
-    ?preprepare_payload_bytes:int ->
-    ?client_scheme:Rdb_crypto.Signer.scheme ->
-    ?replica_scheme:Rdb_crypto.Signer.scheme ->
-    ?reply_scheme:Rdb_crypto.Signer.scheme ->
-    ?sqlite:bool ->
-    ?durable:bool ->
-    ?data_dir:string option ->
-    ?cores:int ->
-    ?instances:int ->
-    ?batch_threads:int ->
-    ?execute_threads:int ->
-    ?exec_records:int ->
-    ?exec_force_parallel:bool ->
-    ?checkpoint_txns:int ->
-    ?max_inflight_batches:int ->
-    ?crashed_backups:int ->
-    ?loss_rate:float ->
-    ?duplication_rate:float ->
-    ?extra_jitter:Rdb_des.Sim.time ->
-    ?nemesis:Nemesis.schedule ->
-    ?client_timeout:Rdb_des.Sim.time ->
-    ?view_timeout:Rdb_des.Sim.time ->
-    ?use_buffer_pool:bool ->
-    ?verify_sharing:bool ->
-    ?verify_cache_capacity:int ->
-    ?zyzzyva_timeout:Rdb_des.Sim.time ->
-    ?bandwidth_gbps:float ->
-    ?latency:Rdb_des.Sim.time ->
-    ?jitter:Rdb_des.Sim.time ->
-    ?shards:int ->
-    ?cross_shard_fraction:float ->
-    ?regions:Rdb_net.Topology.t option ->
-    ?cost:Rdb_crypto.Cost_model.t ->
-    ?warmup:Rdb_des.Sim.time ->
-    ?measure:Rdb_des.Sim.time ->
-    ?seed:int64 ->
-    ?trace:bool ->
-    ?trace_out:string option ->
-    ?trace_csv:string option ->
-    ?trace_interval:Rdb_des.Sim.time ->
-    ?trace_max_events:int ->
-    unit ->
-    t
-  [@@ocaml.deprecated "assemble configurations with Params.make and the typed sub-records"]
-end
 
 (** The one table the CLI and the campaign derive from: every tunable axis
     with its canonical {!Rdb_obs.Axis} name, documentation string, and a

@@ -140,3 +140,10 @@ let sign_request signer ~client ~txn_id ~payload =
 
 let verify_request verifier ~client ~txn_id ~payload ~signature =
   Signer.verify verifier (request_auth ~client ~txn_id ~payload) ~signature
+
+let parse_peers s =
+  String.split_on_char ',' s
+  |> List.mapi (fun i hp ->
+         match String.split_on_char ':' hp with
+         | [ host; port ] -> (i, (host, int_of_string port))
+         | _ -> failwith ("bad peer: " ^ hp))

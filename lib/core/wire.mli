@@ -50,3 +50,6 @@ val verify_request :
   payload:string ->
   signature:string ->
   bool
+
+val parse_peers : string -> (int * (string * int)) list
+(** ["h0:p0,h1:p1,..."] as [(position, (host, port))]; fails on a bad entry. *)

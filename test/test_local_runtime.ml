@@ -165,6 +165,88 @@ let test_config_validation () =
     (Invalid_argument "Local_runtime.create: need at least 4 replicas") (fun () ->
       ignore (Rt.create ~config:{ Rt.default_config with Rt.n = 3 } ~apply:kv_apply ()))
 
+(* ---- Replica_host under an in-memory transport --------------------------- *)
+
+module Host = Rdb_core.Replica_host
+module Core = Rdb_consensus.Core
+
+(* Four hosts joined by one FIFO queue, wired as resdb_node wires them over
+   TCP, with replica 1 also handed client 2's txn 1 directly before the
+   Pre-prepare that orders it arrives.  Two clients' txn ids overlap;
+   duplicates are refused; a backup holds a request without queueing it; a
+   bad tag is dropped; every request runs once on every replica, and no
+   body or queued key outlives its execution. *)
+let test_host_dedupe () =
+  let config = Rdb_consensus.Config.make ~n:4 () in
+  let mac = Rdb_crypto.Cmac.of_secret "host-test-secret" in
+  let queue = Queue.create () and runs = Hashtbl.create 16 in
+  let hosts =
+    Array.init 4 (fun id ->
+        Host.create ~config ~id ~core:(Core.pbft config ~id) ~ledger:(Ledger.create ~primary_id:0)
+          ~mac ~batch_size:2 ~exec_threads:1 ~footprint:None
+          ~apply:(fun store ~client ~payload ->
+            let k = (id, client, payload) in
+            Hashtbl.replace runs k (1 + Option.value ~default:0 (Hashtbl.find_opt runs k));
+            Mem_store.put store (Printf.sprintf "%d/%s" client payload) "1";
+            "ok")
+          ~verify:(fun _ ~signature -> signature = "signed")
+          ~send:(fun ~dst msg ~tag bodies -> Queue.push (dst, msg, tag, bodies) queue)
+          ~reply:(fun ~client:_ _ -> ()))
+  in
+  let drain () =
+    while not (Queue.is_empty queue) do
+      let dst, msg, tag, bodies = Queue.pop queue in
+      Alcotest.(check bool) "forged tag refused" true
+        (Host.authenticate hosts.(dst) msg ~tag:(String.make 16 '\x00') = None);
+      match Host.authenticate hosts.(dst) msg ~tag with
+      | Some msg -> Host.deliver hosts.(dst) msg bodies
+      | None -> Alcotest.fail "genuine tag refused"
+    done
+  in
+  let submit ?(signature = "signed") h client txn_id expect =
+    let r = { Host.client; txn_id; payload = Printf.sprintf "t%d" txn_id } in
+    Alcotest.(check bool) (Printf.sprintf "admit %d/%d at %d" client txn_id h) expect
+      (Host.submit hosts.(h) r ~signature)
+  in
+  submit ~signature:"forged" 0 1 0 false;
+  submit 1 2 1 true;
+  check Alcotest.int "a backup queues nothing" 0 (Host.queued hosts.(1));
+  List.iter (fun (c, txn) -> submit 0 c txn true) [ (1, 0); (2, 0); (1, 1) ];
+  submit 0 1 1 false;
+  submit 0 2 1 true;
+  drain ();
+  submit 0 1 0 false;
+  Array.iter
+    (fun h ->
+      let id = Host.id h in
+      check Alcotest.int "two batches" 2 (Core.last_executed (Host.core h));
+      List.iter
+        (fun (c, p) ->
+          check Alcotest.(option int) (Printf.sprintf "replica %d ran %d/%s once" id c p) (Some 1)
+            (Hashtbl.find_opt runs (id, c, p)))
+        [ (1, "t0"); (2, "t0"); (1, "t1"); (2, "t1") ];
+      check Alcotest.int "both clients' writes" 4 (Mem_store.size (Host.store h));
+      check Alcotest.int (Printf.sprintf "replica %d holds no bodies" id) 0 (Host.held h);
+      check Alcotest.int (Printf.sprintf "replica %d queues nothing" id) 0 (Host.queued h))
+    hosts
+
+(* A full batch is proposed, then every replica suspects the live primary
+   before its Pre-prepares are delivered: they arrive mid-view-change and
+   are dropped, leaving their bodies at the backups, and the new view
+   re-proposes nothing.  Handed the requests again, the new primary must
+   still batch them. *)
+let test_view_change_before_delivery () =
+  let rt = mk ~batch_size:10 () in
+  let ids = List.init 10 (fun i -> Rt.submit rt ~client:(1 + (i mod 2)) ~payload:(Printf.sprintf "k%d=%d" i i)) in
+  Rt.force_view_change rt;
+  Rt.run rt;
+  check Alcotest.int "primary rotated" 1 (Rt.primary rt);
+  List.iter
+    (fun id -> Alcotest.(check bool) (Printf.sprintf "txn %d completed" id) true (List.mem_assoc id (Rt.completed rt)))
+    ids;
+  (match Rt.verify rt with Ok () -> () | Error e -> Alcotest.fail e);
+  check Alcotest.(option string) "write applied" (Some "9") (Mem_store.get (Rt.store rt 3) "k9")
+
 let () =
   Alcotest.run "local_runtime"
     [
@@ -180,5 +262,10 @@ let () =
           Alcotest.test_case "recovery + state transfer" `Quick test_recovery_with_state_transfer;
           Alcotest.test_case "determinism" `Quick test_determinism_across_runs;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+        ] );
+      ( "replica host",
+        [
+          Alcotest.test_case "dedupe by (client, txn_id)" `Quick test_host_dedupe;
+          Alcotest.test_case "view change before delivery" `Quick test_view_change_before_delivery;
         ] );
     ]

@@ -100,6 +100,39 @@ let apply ~replica:_ store ~client ~payload =
   Mem_store.put store (Printf.sprintf "%d:%s" client payload) "v";
   "ok"
 
+(* The ledger records the digest the stable-checkpoint certificate agreed
+   on.  Six single-request batches are proposed before anything is
+   delivered, so every replica has executed past seq 4 when the checkpoint
+   there stabilises: hashing the live store then would persist the digest
+   of a later state. *)
+let test_checkpoint_records_certified_digest () =
+  with_temp_dir (fun dir ->
+      let cfg = { Rt.default_config with Rt.batch_size = 1; checkpoint_interval = 4 } in
+      let cfg = { cfg with Rt.durable_dir = Some dir } in
+      let rt = Rt.create ~config:cfg ~apply () in
+      let payloads = List.init 6 (Printf.sprintf "p%d") in
+      List.iter (fun payload -> ignore (Rt.submit rt ~client:1 ~payload)) payloads;
+      Rt.run rt;
+      check Alcotest.int "all six batches executed" 6 (Rt.last_executed rt 0);
+      Rt.close rt;
+      let at_4 = Mem_store.create () in
+      List.iteri
+        (fun i payload -> if i < 4 then ignore (apply ~replica:0 at_4 ~client:1 ~payload))
+        payloads;
+      for r = 0 to cfg.Rt.n - 1 do
+        let module Bs = Rdb_chain.Block_store in
+        let bs =
+          Bs.open_dir
+            ~dir:(Filename.concat dir (Printf.sprintf "replica-%d" r))
+            ~genesis:(Rdb_chain.Block.genesis ~primary_id:0)
+        in
+        check Alcotest.int "stable checkpoint persisted" 4 (Bs.last_stable bs);
+        check Alcotest.string (Printf.sprintf "replica %d persisted the certified digest" r)
+          (Rdb_crypto.Sha256.hex (Mem_store.digest at_4))
+          (Rdb_crypto.Sha256.hex (Bs.state_digest bs));
+        Bs.close bs
+      done)
+
 (* A schedule is a list of small ints interpreted as a fault/submission
    script: most steps submit one request to BOTH runtimes, the rest crash a
    backup (at most one down at a time, f = 1), recover it, or just drain.
@@ -210,6 +243,8 @@ let () =
           Alcotest.test_case "healthy run needs none" `Quick test_healthy_run_no_transfers;
           Alcotest.test_case "durable crash-replay resume" `Quick
             test_durable_crash_replay_resume;
+          Alcotest.test_case "checkpoint records the certified digest" `Quick
+            test_checkpoint_records_certified_digest;
         ] );
       ("equivalence", [ qtest prop_durable_matches_reference ]);
     ]

@@ -13,9 +13,8 @@
      transaction), and at S = 1 it is bit-identical to the classic
      single-cluster run.
 
-   Plus the structured-config redesign: the Spec axis table round-trips,
-   validation catches bad shard shapes, and the deprecated Compat shim
-   still builds what it used to. *)
+   Plus the structured-config redesign: the Spec axis table round-trips
+   and validation catches bad shard shapes. *)
 
 module Params = Rdb_core.Params
 module Cluster = Rdb_core.Cluster
@@ -396,25 +395,6 @@ let test_validate_shard_shapes () =
         |> Params.map_topology (fun t ->
                { t with Params.Topology.regions = Some (Topology.flat ~shards:2) })))
 
-(* The deprecated flat constructor still assembles the same configuration
-   the structured API does — out-of-tree callers keep working for one
-   release. *)
-module Compat_shim = struct
-  [@@@ocaml.warning "-3"]
-
-  let test () =
-    let old_style = Params.Compat.make ~n:8 ~clients:500 ~batch_size:50 ~shards:2 () in
-    let new_style =
-      Params.default
-      |> Params.with_n 8
-      |> Params.with_clients 500
-      |> Params.with_batch_size 50
-      |> Params.with_shards 2
-    in
-    Alcotest.(check bool) "compat shim equals the structured build" true
-      (old_style = new_style)
-end
-
 let () =
   Alcotest.run "shard"
     [
@@ -452,6 +432,5 @@ let () =
         [
           Alcotest.test_case "spec axis table round-trips" `Quick test_spec_round_trip;
           Alcotest.test_case "shard shapes validated" `Quick test_validate_shard_shapes;
-          Alcotest.test_case "deprecated compat shim" `Quick Compat_shim.test;
         ] );
     ]
