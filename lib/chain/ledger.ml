@@ -167,9 +167,6 @@ let install (Packed ((module B), s, _)) ~blocks ~appended ~running =
   contiguous blocks;
   B.install s ~retained:blocks ~appended ~running
 
-let sync_from t ~src =
-  install t ~blocks:(retained src) ~appended:(length src) ~running:(cumulative_digest src)
-
 let checkpoint (Packed ((module B), s, _)) ~seq ~state_digest = B.checkpoint s ~seq ~state_digest
 
 let close (Packed ((module B), s, _)) = B.close s

@@ -99,13 +99,6 @@ val install : t -> blocks:Block.t list -> appended:int -> running:string -> unit
     otherwise) and adopt the donor's counters.  The caller must have
     verified the segment against the stable-checkpoint certificate first. *)
 
-val sync_from : t -> src:t -> unit
-(** Make this ledger's content identical to [src] (retained blocks,
-    counters, cumulative digest), whatever either side's backend.  Used
-    when a recovering replica catches up from a stable checkpoint — the
-    2f+1 matching checkpoint digests are its proof that [src]'s content is
-    correct. *)
-
 val checkpoint : t -> seq:int -> state_digest:string -> unit
 (** Marks the stable checkpoint at [seq]: durable backends flush the WAL
     and persist counters + [state_digest]; the in-memory backend ignores

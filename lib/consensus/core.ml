@@ -9,6 +9,12 @@
     state transfer, checkpoint installation) are written once per host and
     a new core slots in without touching either.
 
+    Beneath this seam the PBFT and HotStuff cores share one replication
+    envelope, {!Replica_log}: execution hand-off, checkpoints and view
+    change are written once there, and each core keeps only its ordering
+    phases.  Both present {!Replica_log.REPLICA}, so one functor,
+    {!Single}, packs either.
+
     The cores themselves stay imperative; [step] returns the state anyway
     (physically the same value today) so a pure core can implement the
     same signature later. *)
@@ -50,7 +56,6 @@ module type CORE = sig
   val last_executed : state -> int
   val last_stable : state -> int
   val in_view_change : state -> inst:int -> bool
-  val pending_slots : state -> int  (** consensus slots currently tracked *)
 
   val escalation : state -> pending:bool -> inflight:bool -> int option
   (** Which instance the demand timer should escalate against, given
@@ -79,115 +84,59 @@ module type CORE = sig
       instance-tagged actions. *)
 end
 
-(* ---- PBFT, single instance ---------------------------------------------- *)
+(* ---- PBFT and HotStuff: single-instance cores over Replica_log --------- *)
 
-module Pbft_core = struct
-  type state = Pbft_replica.t
+module Single (R : Replica_log.REPLICA) = struct
+  type state = R.t
 
-  let protocol = "pbft"
+  let protocol = R.protocol
+
+  (* Unserved demand escalates nudge -> suspect through the host's demand
+     timer; for HotStuff that timer IS the pacemaker (see the pacemaker
+     contract in hotstuff_replica.mli). *)
   let demand_driven = true
   let instances _ = 1
-  let view s ~inst:_ = Pbft_replica.view s
-  let max_view = Pbft_replica.view
-  let leads s ~inst:_ = Pbft_replica.is_primary s
-  let leads_any = Pbft_replica.is_primary
-  let last_executed = Pbft_replica.last_executed
-  let last_stable = Pbft_replica.last_stable_checkpoint
-  let in_view_change s ~inst:_ = Pbft_replica.in_view_change s
-  let pending_slots = Pbft_replica.pending_instances
+  let view s ~inst:_ = R.view s
+  let max_view = R.view
+  let leads s ~inst:_ = R.is_primary s
+  let leads_any = R.is_primary
+  let last_executed = R.last_executed
+  let last_stable = R.last_stable_checkpoint
+  let in_view_change s ~inst:_ = R.in_view_change s
 
   (* A backup holding unserved demand escalates against the (single)
      primary; the primary itself has no one to suspect. *)
-  let escalation s ~pending ~inflight:_ =
-    if pending && not (Pbft_replica.is_primary s) then Some 0 else None
+  let escalation s ~pending ~inflight:_ = if pending && not (R.is_primary s) then Some 0 else None
 
-  let stable_certificate = Pbft_replica.stable_certificate
+  let stable_certificate = R.stable_certificate
 
   let defenses s =
-    {
-      equivocations = Pbft_replica.equivocations_detected s;
-      vc_suppressed = Pbft_replica.vc_spam_suppressed s;
-    }
+    { equivocations = R.equivocations_detected s; vc_suppressed = R.vc_spam_suppressed s }
 
   let tag acts = List.map (fun a -> (0, a)) acts
 
   let propose s ~reqs ~digest ~wire_bytes =
-    let b, acts = Pbft_replica.propose s ~reqs ~digest ~wire_bytes in
+    let b, acts = R.propose s ~reqs ~digest ~wire_bytes in
     (b, tag acts, 0)
 
   let step s input =
     let acts =
       match input with
-      | Deliver { inst = _; msg } -> Pbft_replica.handle_message s msg
-      | Executed { seq; state_digest; result } ->
-        Pbft_replica.handle_executed s ~seq ~state_digest ~result
-      | Suspect _ -> Pbft_replica.suspect_primary s
-      | Nudge _ -> Pbft_replica.nudge s
-      | Vc_retransmit _ -> Pbft_replica.view_change_retransmit s
+      | Deliver { inst = _; msg } -> R.handle_message s msg
+      | Executed { seq; state_digest; result } -> R.handle_executed s ~seq ~state_digest ~result
+      | Suspect _ -> R.suspect_primary s
+      | Nudge _ -> R.nudge s
+      | Vc_retransmit _ -> R.view_change_retransmit s
       | Keepalive _ -> []
       | Install_checkpoint { seq; state_digest } ->
-        Pbft_replica.install_checkpoint s ~seq ~state_digest;
+        R.install_checkpoint s ~seq ~state_digest;
         []
     in
     (s, tag acts)
 end
 
-(* ---- HotStuff-lineage linear core ---------------------------------------- *)
-
-module Hotstuff_core = struct
-  type state = Hotstuff_replica.t
-
-  let protocol = "hotstuff"
-
-  (* The pacemaker IS the host's demand timer: unserved demand escalates
-     nudge -> suspect exactly as for PBFT (see the pacemaker contract in
-     hotstuff_replica.mli). *)
-  let demand_driven = true
-  let instances _ = 1
-  let view s ~inst:_ = Hotstuff_replica.view s
-  let max_view = Hotstuff_replica.view
-  let leads s ~inst:_ = Hotstuff_replica.is_leader s
-  let leads_any = Hotstuff_replica.is_leader
-  let last_executed = Hotstuff_replica.last_executed
-  let last_stable = Hotstuff_replica.last_stable_checkpoint
-  let in_view_change s ~inst:_ = Hotstuff_replica.in_view_change s
-  let pending_slots = Hotstuff_replica.pending_slots
-
-  (* A backup holding unserved demand escalates against the (single)
-     leader; the leader itself recovers through its backups' nudges. *)
-  let escalation s ~pending ~inflight:_ =
-    if pending && not (Hotstuff_replica.is_leader s) then Some 0 else None
-
-  let stable_certificate = Hotstuff_replica.stable_certificate
-
-  let defenses s =
-    {
-      equivocations = Hotstuff_replica.equivocations_detected s;
-      vc_suppressed = Hotstuff_replica.vc_spam_suppressed s;
-    }
-
-  let tag acts = List.map (fun a -> (0, a)) acts
-
-  let propose s ~reqs ~digest ~wire_bytes =
-    let b, acts = Hotstuff_replica.propose s ~reqs ~digest ~wire_bytes in
-    (b, tag acts, 0)
-
-  let step s input =
-    let acts =
-      match input with
-      | Deliver { inst = _; msg } -> Hotstuff_replica.handle_message s msg
-      | Executed { seq; state_digest; result } ->
-        Hotstuff_replica.handle_executed s ~seq ~state_digest ~result
-      | Suspect _ -> Hotstuff_replica.suspect_primary s
-      | Nudge _ -> Hotstuff_replica.nudge s
-      | Vc_retransmit _ -> Hotstuff_replica.view_change_retransmit s
-      | Keepalive _ -> []
-      | Install_checkpoint { seq; state_digest } ->
-        Hotstuff_replica.install_checkpoint s ~seq ~state_digest;
-        []
-    in
-    (s, tag acts)
-end
+module Pbft_core = Single (Pbft_replica)
+module Hotstuff_core = Single (Hotstuff_replica)
 
 (* ---- Zyzzyva ------------------------------------------------------------- *)
 
@@ -207,7 +156,6 @@ module Zyz_core = struct
   let last_executed = Zyzzyva_replica.last_spec_executed
   let last_stable _ = 0
   let in_view_change _ ~inst:_ = false
-  let pending_slots _ = 0
   let escalation _ ~pending:_ ~inflight:_ = None
   let stable_certificate _ = None
 
@@ -252,7 +200,6 @@ module Multi_core = struct
   let last_executed s = Multi_pbft.last_executed s.m
   let last_stable s = Multi_pbft.last_stable_checkpoint s.m
   let in_view_change s ~inst = Multi_pbft.in_view_change s.m ~inst
-  let pending_slots s = Multi_pbft.pending_instances s.m
 
   (* The escalation aims at the instance the global execution merge is
      blocked on: that residue class is where the hole is.  Transactions this
@@ -327,7 +274,6 @@ let leads_any (Core ((module C), s)) = C.leads_any s
 let last_executed (Core ((module C), s)) = C.last_executed s
 let last_stable (Core ((module C), s)) = C.last_stable s
 let in_view_change (Core ((module C), s)) ~inst = C.in_view_change s ~inst
-let pending_slots (Core ((module C), s)) = C.pending_slots s
 let escalation (Core ((module C), s)) ~pending ~inflight = C.escalation s ~pending ~inflight
 let stable_certificate (Core ((module C), s)) = C.stable_certificate s
 let defenses (Core ((module C), s)) = C.defenses s

@@ -3,18 +3,23 @@
    {!Pbft_replica}: all I/O through {!Action.t} lists, all quorums keyed
    by digest so conflicting proposals split votes.
 
-   The happy path is what differs from PBFT.  Backups never talk to each
-   other: each phase is one vote SENT to the leader, which aggregates
-   2f+1 matching votes into a quorum certificate (Hs_qc, standing in for
-   a threshold signature) and broadcasts it.  Per decision that is
-   O(n) messages over three phases instead of PBFT's two all-to-all
-   O(n^2) rounds — the price is more one-way hops before commit.
+   Only the happy path lives here, and it is what differs from PBFT.
+   Backups never talk to each other: each phase is one vote SENT to the
+   leader, which aggregates 2f+1 matching votes into a quorum certificate
+   (Hs_qc, standing in for a threshold signature) and broadcasts it.  Per
+   decision that is O(n) messages over three phases instead of PBFT's two
+   all-to-all O(n^2) rounds — the price is more one-way hops before
+   commit.
 
-   The unhappy path is deliberately NOT linear: leader replacement reuses
-   the View_change/New_view sub-protocol (with its spam rate limits), so
-   the pacemaker is the hosting system's demand-timer escalation ladder
-   unchanged, and the one-liar attack bench shows the protocol's
-   signature — a cheap happy path and an expensive leader-failure path. *)
+   The unhappy path is deliberately NOT linear: leader replacement is the
+   shared View_change/New_view sub-protocol of {!Replica_log} (with its
+   spam rate limits), so the pacemaker is the hosting system's
+   demand-timer escalation ladder unchanged, and the one-liar attack bench
+   shows the protocol's signature — a cheap happy path and an expensive
+   leader-failure path.  Execution hand-off and checkpoints are the
+   envelope's too. *)
+
+module Log = Replica_log
 
 (* One consensus slot.  [qc] is the highest phase with a valid quorum
    certificate (0 = none, 3 = committed); [voted] the highest phase this
@@ -30,7 +35,6 @@ type slot = {
   mutable qc : int;
   mutable qc_digest : string; (* digest the certificates bind ("" until one is seen) *)
   mutable committed : bool;
-  mutable executed : bool;
   mutable hole_requested : bool;
       (* one proposal retransmission request per slot (see Fill_hole) *)
   mutable qc_echoed_to : (int * int) list;
@@ -40,75 +44,31 @@ type slot = {
   votes : (int * string) Quorum.t; (* leader side: (phase, digest) -> senders *)
 }
 
+type log = slot Log.t
+
 type t = {
-  config : Config.t;
-  id : int;
-  mutable view : int;
-  mutable next_seq : int; (* leader's sequence counter *)
-  mutable last_proposed : string; (* parent digest for the next proposal *)
-  mutable last_executed : int;
-  mutable last_exec_ack : int;
-  mutable last_stable : int;
-  mutable in_view_change : bool;
-  mutable vc_target : int;
-  slots : (int * int, slot) Hashtbl.t; (* (view, seq) *)
-  committed_batches : (int, Message.batch) Hashtbl.t;
-  executed_batches : (int, Message.batch) Hashtbl.t;
-  checkpoints : (int * string) Quorum.t;
-  view_changes : int Quorum.t;
-  vc_messages : (int, (int * Message.prepared_proof list) list) Hashtbl.t;
-  mutable own_checkpoint_digests : (int * string) list;
-  mutable last_new_view : Message.t option;
-  mutable stable_cert : (int * string * int list) option;
-  mutable equivocations : int;
-  mutable vc_suppressed : int;
-  vc_registered : (int, int list) Hashtbl.t;
+  log : log;
+  mutable last_proposed : string;
+      (* digest of the last batch this replica put in a slot it leads: the
+         parent its next proposal chains to *)
 }
 
-(* Same view-change spam limits as Pbft_replica: the pacemaker reuses the
-   View_change wire sub-protocol, so it inherits the same defense. *)
-let max_vc_skew = 8
-let max_pending_vcs = 4
+let protocol = "hotstuff"
 let genesis = "genesis"
+let create config ~id = { log = Log.create config ~id; last_proposed = genesis }
+let view t = t.log.view
+let is_primary t = Log.is_primary t.log
+let last_executed t = t.log.last_executed
+let last_stable_checkpoint t = t.log.last_stable
+let in_view_change t = t.log.in_view_change
+let pending_slots t = Hashtbl.length t.log.slots
+let equivocations_detected t = t.log.equivocations
+let vc_spam_suppressed t = t.log.vc_suppressed
+let stable_certificate t = t.log.stable_cert
+let install_checkpoint t = Log.install_checkpoint t.log
+let handle_executed t = Log.handle_executed t.log
 
-let create config ~id =
-  {
-    config;
-    id;
-    view = 0;
-    next_seq = 1;
-    last_proposed = genesis;
-    last_executed = 0;
-    last_exec_ack = 0;
-    last_stable = 0;
-    in_view_change = false;
-    vc_target = 0;
-    slots = Hashtbl.create 256;
-    committed_batches = Hashtbl.create 64;
-    executed_batches = Hashtbl.create 64;
-    checkpoints = Quorum.create ();
-    view_changes = Quorum.create ();
-    vc_messages = Hashtbl.create 8;
-    own_checkpoint_digests = [];
-    last_new_view = None;
-    stable_cert = None;
-    equivocations = 0;
-    vc_suppressed = 0;
-    vc_registered = Hashtbl.create 8;
-  }
-
-let id t = t.id
-let view t = t.view
-let leader_of t view = Config.primary_of_view t.config view
-let is_leader t = leader_of t t.view = t.id
-let last_executed t = t.last_executed
-let last_stable_checkpoint t = t.last_stable
-let in_view_change t = t.in_view_change
-let pending_slots t = Hashtbl.length t.slots
-let equivocations_detected t = t.equivocations
-let vc_spam_suppressed t = t.vc_suppressed
-
-let slot t ~view ~seq =
+let slot (t : log) ~view ~seq =
   match Hashtbl.find_opt t.slots (view, seq) with
   | Some s -> s
   | None ->
@@ -122,7 +82,6 @@ let slot t ~view ~seq =
         qc = 0;
         qc_digest = "";
         committed = false;
-        executed = false;
         hole_requested = false;
         qc_echoed_to = [];
         votes = Quorum.create ();
@@ -131,38 +90,36 @@ let slot t ~view ~seq =
     Hashtbl.add t.slots (view, seq) s;
     s
 
-let in_window t seq = seq > t.last_stable && seq <= t.last_stable + t.config.Config.high_water_mark
-
-(* Emits Execute actions for every committed batch that is next in order
-   (slots run the three phases out of order; execution is in order). *)
-let try_execute t =
-  let actions = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt t.committed_batches (t.last_executed + 1) with
-    | Some batch ->
-      Hashtbl.remove t.committed_batches batch.Message.seq;
-      Hashtbl.replace t.executed_batches batch.Message.seq batch;
-      t.last_executed <- batch.Message.seq;
-      actions := Action.Execute batch :: !actions
-    | None -> continue := false
-  done;
-  List.rev !actions
-
-let commit t (s : slot) =
+let commit (t : log) (s : slot) =
   match s.batch with
   | Some batch when not s.committed ->
     s.committed <- true;
     Hashtbl.replace t.committed_batches s.s_seq batch;
-    try_execute t
+    Log.try_execute t
   | _ -> []
+
+let vote (t : log) (s : slot) ~phase ~digest =
+  Action.Send
+    ( Log.leader_of t s.s_view,
+      Message.Hs_vote { view = s.s_view; seq = s.s_seq; phase; digest; from = t.id } )
+
+let certificate (t : log) (s : slot) =
+  Message.Hs_qc
+    {
+      view = s.s_view;
+      seq = s.s_seq;
+      phase = s.qc;
+      digest = s.qc_digest;
+      senders = Quorum.senders s.votes (s.qc, s.qc_digest);
+      from = t.id;
+    }
 
 (* A backup casts its next vote: phase [qc + 1], against the certificate
    chain as far as it has seen it (phase 1 against the bare proposal).
    Jumping is safe — a phase-p certificate transitively proves every
    earlier phase certified, so a backup that missed the phase-1
    certificate but holds the phase-2 one votes phase 3 directly. *)
-let cast_vote t (s : slot) =
+let cast_vote (t : log) (s : slot) =
   match s.batch with
   | None -> []
   | Some b ->
@@ -170,41 +127,32 @@ let cast_vote t (s : slot) =
     let target = s.qc + 1 in
     if
       target > 3
-      || leader_of t s.s_view = t.id
+      || Log.leader_of t s.s_view = t.id
       || s.voted >= target
       || not (String.equal digest b.Message.digest)
     then []
     else begin
       s.voted <- target;
-      [
-        Action.Send
-          ( leader_of t s.s_view,
-            Message.Hs_vote { view = s.s_view; seq = s.s_seq; phase = target; digest; from = t.id }
-          );
-      ]
+      [ vote t s ~phase:target ~digest ]
     end
 
 (* Leader side: pool one vote and, on reaching 2f+1 distinct voters for
    the pending phase, assemble and broadcast the certificate, then act on
    it ourselves (vote the next phase into our own pool, or commit). *)
-let rec leader_pool_vote t (s : slot) ~phase ~digest ~from =
+let rec leader_pool_vote (t : log) (s : slot) ~phase ~digest ~from =
   ignore (Quorum.add s.votes (phase, digest) from);
   maybe_assemble_qc t s ~digest
 
-and maybe_assemble_qc t (s : slot) ~digest =
+and maybe_assemble_qc (t : log) (s : slot) ~digest =
   let next = s.qc + 1 in
   if next > 3 then []
   else if Quorum.count s.votes (next, digest) < Config.qc_quorum t.config then []
   else begin
-    let senders = Quorum.senders s.votes (next, digest) in
     s.qc <- next;
     s.qc_digest <- digest;
-    let qc =
-      Message.Hs_qc { view = s.s_view; seq = s.s_seq; phase = next; digest; senders; from = t.id }
-    in
+    let qc = certificate t s in
     let follow =
-      if next < 3 then leader_pool_vote t s ~phase:(next + 1) ~digest ~from:t.id
-      else commit t s
+      if next < 3 then leader_pool_vote t s ~phase:(next + 1) ~digest ~from:t.id else commit t s
     in
     Action.Broadcast qc :: follow
   end
@@ -214,7 +162,8 @@ and maybe_assemble_qc t (s : slot) ~digest =
    equivocation evidence: counted and dropped — votes are digest-keyed, so
    the conflicting copies split the vote pool and at most one digest can
    reach the 2f+1 certificate (2 * (2f+1) > n + 1 for f >= 1). *)
-let accept_proposal t ~view ~parent ~(batch : Message.batch) =
+let accept_proposal h ~view ~parent ~(batch : Message.batch) =
+  let t = h.log in
   let s = slot t ~view ~seq:batch.Message.seq in
   match s.batch with
   | Some existing when not (String.equal existing.Message.digest batch.Message.digest) ->
@@ -224,210 +173,33 @@ let accept_proposal t ~view ~parent ~(batch : Message.batch) =
   | None ->
     s.batch <- Some batch;
     s.parent <- parent;
-    if leader_of t view = t.id then
-      (* our own (re-)proposal: vote into our own pool *)
+    if Log.leader_of t view = t.id then begin
+      (* our own (re-)proposal: chain the next one to it, and vote into
+         our own pool *)
+      h.last_proposed <- batch.Message.digest;
       leader_pool_vote t s ~phase:1 ~digest:batch.Message.digest ~from:t.id
+    end
     else begin
       (* The commit certificate may have raced ahead of the (refetched)
          proposal: commit immediately once both are in hand. *)
-      let committed = if s.qc >= 3 && String.equal s.qc_digest batch.Message.digest then commit t s else [] in
+      let committed =
+        if s.qc >= 3 && String.equal s.qc_digest batch.Message.digest then commit t s else []
+      in
       cast_vote t s @ committed
     end
 
-let propose t ~reqs ~digest ~wire_bytes =
-  if (not (is_leader t)) || t.in_view_change || not (in_window t t.next_seq) then (None, [])
+let propose h ~reqs ~digest ~wire_bytes =
+  let t = h.log in
+  if (not (Log.is_primary t)) || t.in_view_change || not (Log.in_window t t.next_seq) then (None, [])
   else begin
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    let parent = t.last_proposed in
-    t.last_proposed <- digest;
+    let parent = h.last_proposed in
     let batch = { Message.view = t.view; seq; digest; reqs; wire_bytes } in
-    let actions = accept_proposal t ~view:t.view ~parent ~batch in
+    let actions = accept_proposal h ~view:t.view ~parent ~batch in
     ( Some batch,
       Action.Broadcast (Message.Hs_proposal { view = t.view; seq; batch; parent; from = t.id })
       :: actions )
-  end
-
-(* ---- checkpointing (same semantics as Pbft_replica) ---------------------- *)
-
-let note_checkpoint t ~seq ~state_digest ~from =
-  let n = Quorum.add t.checkpoints (seq, state_digest) from in
-  if n >= Config.commit_quorum t.config && seq > t.last_stable then begin
-    t.last_stable <- seq;
-    t.stable_cert <- Some (seq, state_digest, Quorum.senders t.checkpoints (seq, state_digest));
-    if t.last_executed < seq then begin
-      t.last_executed <- seq;
-      t.last_exec_ack <- max t.last_exec_ack seq;
-      let stale =
-        Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) t.committed_batches []
-      in
-      List.iter (Hashtbl.remove t.committed_batches) stale
-    end;
-    let doomed =
-      Hashtbl.fold (fun (v, s) _ acc -> if s <= seq then (v, s) :: acc else acc) t.slots []
-    in
-    List.iter (Hashtbl.remove t.slots) doomed;
-    Quorum.filter_keys t.checkpoints (fun (s, _) -> s > seq);
-    t.own_checkpoint_digests <- List.filter (fun (s, _) -> s > seq) t.own_checkpoint_digests;
-    let doomed_exec =
-      Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) t.executed_batches []
-    in
-    List.iter (Hashtbl.remove t.executed_batches) doomed_exec;
-    [ Action.Stable_checkpoint seq ]
-  end
-  else []
-
-let stable_certificate t = t.stable_cert
-
-let install_checkpoint t ~seq ~state_digest =
-  if seq > t.last_stable then begin
-    t.last_stable <- seq;
-    t.stable_cert <- Some (seq, state_digest, []);
-    if t.last_executed < seq then begin
-      t.last_executed <- seq;
-      t.last_exec_ack <- max t.last_exec_ack seq;
-      let stale =
-        Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) t.committed_batches []
-      in
-      List.iter (Hashtbl.remove t.committed_batches) stale
-    end;
-    t.next_seq <- max t.next_seq (seq + 1);
-    let doomed =
-      Hashtbl.fold (fun (v, s) _ acc -> if s <= seq then (v, s) :: acc else acc) t.slots []
-    in
-    List.iter (Hashtbl.remove t.slots) doomed;
-    Quorum.filter_keys t.checkpoints (fun (s, _) -> s > seq);
-    t.own_checkpoint_digests <- List.filter (fun (s, _) -> s > seq) t.own_checkpoint_digests;
-    let doomed_exec =
-      Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) t.executed_batches []
-    in
-    List.iter (Hashtbl.remove t.executed_batches) doomed_exec
-  end
-
-(* ---- pacemaker: leader replacement through View_change/New_view ---------- *)
-
-(* The lock a view change must respect is the phase-1 certificate: a slot
-   with [qc >= 1] could have committed in its view (the phase-3 quorum
-   intersects every phase-1 quorum), so the new leader must re-propose its
-   batch.  This is exactly the role PBFT's prepared certificate plays, so
-   the wire format is reused verbatim. *)
-let prepared_proofs t =
-  Hashtbl.fold
-    (fun (v, s) (sl : slot) acc ->
-      if s > t.last_stable && sl.qc >= 1 then
-        match sl.batch with
-        | Some b ->
-          { Message.p_view = v; p_seq = s; p_digest = b.Message.digest; p_batch = b } :: acc
-        | None -> acc
-      else acc)
-    t.slots []
-
-let start_view_change t ~target =
-  if t.in_view_change && t.vc_target >= target then []
-  else begin
-    t.in_view_change <- true;
-    t.vc_target <- target;
-    let vc =
-      Message.View_change
-        { new_view = target; last_stable = t.last_stable; prepared = prepared_proofs t; from = t.id }
-    in
-    ignore (Quorum.add t.view_changes target t.id);
-    let mine = (t.id, prepared_proofs t) in
-    let existing = Option.value ~default:[] (Hashtbl.find_opt t.vc_messages target) in
-    if not (List.mem_assoc t.id existing) then Hashtbl.replace t.vc_messages target (mine :: existing);
-    [ Action.Broadcast vc ]
-  end
-
-let suspect_primary t = start_view_change t ~target:(t.view + 1)
-
-let view_change_retransmit t =
-  if not t.in_view_change then []
-  else
-    [
-      Action.Broadcast
-        (Message.View_change
-           {
-             new_view = t.vc_target;
-             last_stable = t.last_stable;
-             prepared = prepared_proofs t;
-             from = t.id;
-           });
-    ]
-
-let prune_vc_registry t =
-  Hashtbl.filter_map_inplace
-    (fun _ vs ->
-      match List.filter (fun v -> v > t.view) vs with [] -> None | vs -> Some vs)
-    t.vc_registered
-
-(* The new leader assembles New_view from a 2f+1 view-change quorum:
-   every locked (phase-1-certified) slot above the stable checkpoint is
-   re-proposed at its highest view, gaps are filled with no-ops, and the
-   three phases restart in the new view.  Restarting from phase 1 is the
-   conservative choice — certificates from the old view are not carried
-   forward — and is what makes the leader-failure path expensive next to
-   the linear happy path. *)
-let maybe_new_view t ~target =
-  if leader_of t target <> t.id then []
-  else if Quorum.count t.view_changes target < Config.commit_quorum t.config then []
-  else if t.view >= target then []
-  else begin
-    let vcs = Option.value ~default:[] (Hashtbl.find_opt t.vc_messages target) in
-    let best : (int, Message.prepared_proof) Hashtbl.t = Hashtbl.create 32 in
-    List.iter
-      (fun (_, proofs) ->
-        List.iter
-          (fun (p : Message.prepared_proof) ->
-            match Hashtbl.find_opt best p.Message.p_seq with
-            | Some q when q.Message.p_view >= p.Message.p_view -> ()
-            | _ -> Hashtbl.replace best p.Message.p_seq p)
-          proofs)
-      vcs;
-    let max_seq = Hashtbl.fold (fun s _ acc -> max s acc) best t.last_stable in
-    let proposals = ref [] in
-    for seq = t.last_stable + 1 to max_seq do
-      let batch =
-        match Hashtbl.find_opt best seq with
-        | Some p -> { p.Message.p_batch with Message.view = target }
-        | None ->
-          {
-            Message.view = target;
-            seq;
-            digest = "noop:" ^ string_of_int seq;
-            reqs = [];
-            wire_bytes = 0;
-          }
-      in
-      proposals := batch :: !proposals
-    done;
-    let proposals = List.rev !proposals in
-    t.view <- target;
-    t.in_view_change <- false;
-    prune_vc_registry t;
-    t.next_seq <- max_seq + 1;
-    (match List.rev proposals with
-    | last :: _ -> t.last_proposed <- last.Message.digest
-    | [] -> ());
-    let nv =
-      Message.New_view
-        { view = target; vc_senders = Quorum.senders t.view_changes target; pre_prepares = proposals; from = t.id }
-    in
-    t.last_new_view <- Some nv;
-    let adopt =
-      List.concat_map (fun b -> accept_proposal t ~view:target ~parent:"" ~batch:b) proposals
-    in
-    Action.Broadcast nv :: adopt
-  end
-
-let handle_new_view t ~view ~(pre_prepares : Message.batch list) ~from =
-  if view < t.view || leader_of t view <> from then []
-  else begin
-    t.view <- view;
-    t.in_view_change <- false;
-    prune_vc_registry t;
-    List.concat_map
-      (fun (b : Message.batch) -> accept_proposal t ~view ~parent:"" ~batch:b)
-      pre_prepares
   end
 
 (* ---- loss recovery -------------------------------------------------------- *)
@@ -436,161 +208,104 @@ let handle_new_view t ~view ~(pre_prepares : Message.batch list) ~from =
    network duplicated it): answer once per (slot, peer) with the highest
    certificate we hold, so a backup that lost a QC broadcast rejoins the
    phase ladder without a view change. *)
-let echo_qc t (s : slot) ~dup ~target =
+let echo_qc (t : log) (s : slot) ~dup ~target =
   let prev = Option.value ~default:0 (List.assoc_opt target s.qc_echoed_to) in
   if (not dup) || s.qc < 1 || s.qc <= prev then []
   else begin
     s.qc_echoed_to <- (target, s.qc) :: List.remove_assoc target s.qc_echoed_to;
-    [
-      Action.Send
-        ( target,
-          Message.Hs_qc
-            {
-              view = s.s_view;
-              seq = s.s_seq;
-              phase = s.qc;
-              digest = s.qc_digest;
-              senders = Quorum.senders s.votes (s.qc, s.qc_digest);
-              from = t.id;
-            } );
-    ]
+    [ Action.Send (target, certificate t s) ]
   end
 
 (* A certificate for a slot we hold no proposal for proves the proposal is
    long gone: fetch it eagerly (once; the demand timer's nudge is the
-   backstop).  Reuses Zyzzyva's fill-hole message, like Pbft_replica. *)
-let maybe_fetch_batch t (s : slot) =
-  if s.batch = None && (not s.hole_requested) && leader_of t s.s_view <> t.id then begin
+   backstop). *)
+let maybe_fetch_batch (t : log) (s : slot) =
+  if s.batch = None && (not s.hole_requested) && Log.leader_of t s.s_view <> t.id then begin
     s.hole_requested <- true;
-    [
-      Action.Send
-        ( leader_of t s.s_view,
-          Message.Fill_hole { view = s.s_view; from_seq = s.s_seq; to_seq = s.s_seq; from = t.id }
-        );
-    ]
+    [ Log.fill_hole t ~view:s.s_view ~from_seq:s.s_seq ~to_seq:s.s_seq ]
   end
   else []
 
-(* Demand-timer retransmission for the oldest unexecuted slot.  A backup
-   re-sends its current-phase vote (the duplicate makes the leader echo its
-   highest certificate back — covering a lost vote AND a lost certificate
-   with one exchange); the leader re-broadcasts its proposal and highest
-   certificate; a batchless slot asks the leader to fill the hole. *)
-let nudge t =
-  if t.in_view_change then []
-  else begin
-    let seq = t.last_executed + 1 in
-    if not (in_window t seq) then []
-    else begin
-      let fetch_hole () =
-        let leader = leader_of t t.view in
-        if leader = t.id then []
-        else begin
-          let have = Hashtbl.create 64 in
-          Hashtbl.iter
-            (fun (_, s) (sl : slot) -> if sl.batch <> None then Hashtbl.replace have s ())
-            t.slots;
-          let to_seq = ref seq in
-          while
-            !to_seq - seq < 63 && in_window t (!to_seq + 1) && not (Hashtbl.mem have (!to_seq + 1))
-          do
-            incr to_seq
-          done;
-          [ Action.Send (leader, Message.Fill_hole { view = t.view; from_seq = seq; to_seq = !to_seq; from = t.id }) ]
-        end
-      in
-      let best =
-        Hashtbl.fold
-          (fun (v, s) (sl : slot) acc ->
-            if s <> seq then acc
-            else match acc with Some (j : slot) when j.s_view >= v -> acc | _ -> Some sl)
-          t.slots None
-      in
-      match best with
-      | None -> fetch_hole ()
-      | Some s -> (
-        match s.batch with
-        | None -> fetch_hole ()
-        | Some b ->
-          if leader_of t s.s_view = t.id then begin
-            let proposal =
-              Message.Hs_proposal
-                { view = s.s_view; seq = s.s_seq; batch = b; parent = s.parent; from = t.id }
-            in
-            let qc =
-              if s.qc >= 1 then
-                [
-                  Action.Broadcast
-                    (Message.Hs_qc
-                       {
-                         view = s.s_view;
-                         seq = s.s_seq;
-                         phase = s.qc;
-                         digest = s.qc_digest;
-                         senders = Quorum.senders s.votes (s.qc, s.qc_digest);
-                         from = t.id;
-                       });
-                ]
-              else []
-            in
-            Action.Broadcast proposal :: qc
-          end
-          else if s.voted >= 1 then begin
-            let digest = if s.qc > 0 then s.qc_digest else b.Message.digest in
-            [
-              Action.Send
-                ( leader_of t s.s_view,
-                  Message.Hs_vote
-                    { view = s.s_view; seq = s.s_seq; phase = s.voted; digest; from = t.id } );
-            ]
-          end
-          else cast_vote t s)
-    end
-  end
+let proposal (t : log) (s : slot) batch =
+  Message.Hs_proposal { view = s.s_view; seq = s.s_seq; batch; parent = s.parent; from = t.id }
+
+(* Retransmission for a stuck slot.  A backup re-sends its current-phase
+   vote (the duplicate makes the leader echo its highest certificate back
+   — covering a lost vote AND a lost certificate with one exchange); the
+   leader re-broadcasts its proposal and highest certificate. *)
+let revote (t : log) (s : slot) (b : Message.batch) =
+  if Log.leader_of t s.s_view = t.id then
+    Action.Broadcast (proposal t s b)
+    :: (if s.qc >= 1 then [ Action.Broadcast (certificate t s) ] else [])
+  else if s.voted >= 1 then
+    [ vote t s ~phase:s.voted ~digest:(if s.qc > 0 then s.qc_digest else b.Message.digest) ]
+  else cast_vote t s
+
+let ops h =
+  {
+    Log.batch = (fun s -> s.batch);
+    (* The lock a view change must respect is the phase-1 certificate: a
+       slot with [qc >= 1] could have committed in its view (the phase-3
+       quorum intersects every phase-1 quorum), so the new leader must
+       re-propose its batch.  This is exactly the role PBFT's prepared
+       certificate plays, so the wire format is reused verbatim.  A view
+       change restarts every re-proposed slot from phase 1: certificates
+       from the old view are not carried forward, which is what makes the
+       leader-failure path expensive next to the linear happy path. *)
+    prepared = (fun s -> s.qc >= 1);
+    adopt = (fun ~view batch -> accept_proposal h ~view ~parent:"" ~batch);
+    proposal = proposal h.log;
+    revote = revote h.log;
+  }
+
+let suspect_primary h = Log.suspect_primary h.log (ops h)
+let view_change_retransmit h = Log.view_change_retransmit h.log (ops h)
+let nudge h = Log.nudge h.log (ops h)
 
 (* ---- message dispatch ----------------------------------------------------- *)
 
 let distinct_senders senders = List.sort_uniq compare senders
 
-let handle_message t (msg : Message.t) =
+let handle_message h (msg : Message.t) =
+  let t = h.log in
   match msg with
   | Message.Hs_proposal { view; seq; batch; parent; from } ->
-    if view <> t.view || t.in_view_change || from <> leader_of t view then []
-    else if not (in_window t seq) then []
+    if view <> t.view || t.in_view_change || from <> Log.leader_of t view then []
+    else if not (Log.in_window t seq) then []
     else if seq <> batch.Message.seq then []
     else begin
       let before = t.equivocations in
-      let actions = accept_proposal t ~view ~parent ~batch in
+      let actions = accept_proposal h ~view ~parent ~batch in
       if t.equivocations > before then
         (* Two conflicting proposals signed by one leader are transferable
            proof of equivocation: echo the conflicting copy so every
            replica sees the contradiction, and join the view change that
            rotates the leader out (the pacemaker's misbehavior path). *)
-        (Action.Broadcast msg :: suspect_primary t) @ actions
+        (Action.Broadcast msg :: suspect_primary h) @ actions
       else actions
     end
   | Message.Hs_vote { view; seq; phase; digest; from } ->
     (* Votes are only meaningful at the leader of their view.  Votes for a
        HIGHER view are pooled in that view's slot — they come from
        replicas that installed the new view first. *)
-    if view < t.view || (t.in_view_change && view = t.view) || not (in_window t seq) then []
-    else if leader_of t view <> t.id || phase < 1 || phase > 3 then []
+    if view < t.view || (t.in_view_change && view = t.view) || not (Log.in_window t seq) then []
+    else if Log.leader_of t view <> t.id || phase < 1 || phase > 3 then []
     else begin
       let s = slot t ~view ~seq in
       let dup = List.mem from (Quorum.senders s.votes (phase, digest)) in
       let pooled = leader_pool_vote t s ~phase ~digest ~from in
-      let executed = try_execute t in
+      let executed = Log.try_execute t in
       echo_qc t s ~dup ~target:from @ pooled @ executed
     end
   | Message.Hs_qc { view; seq; phase; digest; senders; from } ->
-    if view < t.view || (t.in_view_change && view = t.view) || not (in_window t seq) then []
-    else if leader_of t view <> from || phase < 1 || phase > 3 then []
+    if view < t.view || (t.in_view_change && view = t.view) || not (Log.in_window t seq) then []
+    else if Log.leader_of t view <> from || phase < 1 || phase > 3 then []
     else if List.length (distinct_senders senders) < Config.qc_quorum t.config then
       (* An undersized certificate can never be honest output. *)
       []
     else begin
       let s = slot t ~view ~seq in
-      (match s.batch with
+      match s.batch with
       | Some b when not (String.equal b.Message.digest digest) ->
         (* A valid certificate for a digest conflicting with our copy of
            the proposal: we are on the losing branch of an equivocation.
@@ -606,101 +321,6 @@ let handle_message t (msg : Message.t) =
         end;
         let committed = if s.qc >= 3 then commit t s else [] in
         let voted = if s.qc < 3 then cast_vote t s else [] in
-        fetch @ voted @ committed @ try_execute t)
+        fetch @ voted @ committed @ Log.try_execute t
     end
-  | Message.Checkpoint { seq; state_digest; from } -> note_checkpoint t ~seq ~state_digest ~from
-  | Message.View_change { new_view; prepared; from; _ } ->
-    if new_view <= t.view then begin
-      match t.last_new_view with
-      | Some (Message.New_view { view; _ } as nv) when view = t.view && is_leader t ->
-        [ Action.Send (from, nv) ]
-      | _ -> []
-    end
-    else begin
-      (* Same spam rate limit as Pbft_replica: clip implausible view
-         numbers, cap distinct pending registrations per sender. *)
-      let registered = Option.value ~default:[] (Hashtbl.find_opt t.vc_registered from) in
-      let fresh = not (List.mem new_view registered) in
-      if new_view > t.view + max_vc_skew || (fresh && List.length registered >= max_pending_vcs)
-      then begin
-        t.vc_suppressed <- t.vc_suppressed + 1;
-        []
-      end
-      else begin
-        if fresh then Hashtbl.replace t.vc_registered from (new_view :: registered);
-        ignore (Quorum.add t.view_changes new_view from);
-        let existing = Option.value ~default:[] (Hashtbl.find_opt t.vc_messages new_view) in
-        if not (List.mem_assoc from existing) then
-          Hashtbl.replace t.vc_messages new_view ((from, prepared) :: existing);
-        let join =
-          if
-            Quorum.count t.view_changes new_view >= t.config.Config.f + 1
-            && not (t.in_view_change && t.vc_target >= new_view)
-          then start_view_change t ~target:new_view
-          else []
-        in
-        let nv = maybe_new_view t ~target:new_view in
-        join @ nv
-      end
-    end
-  | Message.New_view { view; pre_prepares; from; _ } -> handle_new_view t ~view ~pre_prepares ~from
-  | Message.Fill_hole { view; from_seq; to_seq; from } ->
-    if view <> t.view || leader_of t view <> t.id || t.in_view_change then []
-    else
-      List.filter_map
-        (fun seq ->
-          match Hashtbl.find_opt t.slots (t.view, seq) with
-          | Some { batch = Some b; parent; _ } ->
-            Some
-              (Action.Send
-                 ( from,
-                   Message.Hs_proposal { view = t.view; seq; batch = b; parent; from = t.id } ))
-          | _ -> None)
-        (List.init (max 0 (to_seq - from_seq + 1)) (fun i -> from_seq + i))
-  | Message.Pre_prepare _ | Message.Prepare _ | Message.Commit _ | Message.Order_request _
-  | Message.Commit_cert _ ->
-    (* PBFT / Zyzzyva traffic; not ours. *)
-    []
-  | Message.State_request _ | Message.State_response _ ->
-    (* State transfer is served and admitted at the host level. *)
-    []
-  | Message.Reply _ | Message.Spec_reply _ | Message.Local_commit _ ->
-    (* Client-bound messages never reach a replica core. *)
-    []
-
-let handle_executed t ~seq ~state_digest ~result =
-  if seq <= t.last_exec_ack then []
-  else if seq <> t.last_exec_ack + 1 then
-    invalid_arg "Hotstuff_replica.handle_executed: out of order"
-  else begin
-    t.last_exec_ack <- seq;
-    match Hashtbl.find_opt t.executed_batches seq with
-    | None -> []
-    | Some batch ->
-      Hashtbl.remove t.executed_batches seq;
-      let replies =
-        List.map
-          (fun (r : Message.request_ref) ->
-            Action.Send_client
-              ( r.Message.client,
-                Message.Reply
-                  {
-                    view = batch.Message.view;
-                    seq;
-                    txn_id = r.Message.txn_id;
-                    client = r.Message.client;
-                    from = t.id;
-                    result;
-                  } ))
-          batch.Message.reqs
-      in
-      let checkpoint =
-        if seq mod t.config.Config.checkpoint_interval = 0 then begin
-          t.own_checkpoint_digests <- (seq, state_digest) :: t.own_checkpoint_digests;
-          Action.Broadcast (Message.Checkpoint { seq; state_digest; from = t.id })
-          :: note_checkpoint t ~seq ~state_digest ~from:t.id
-        end
-        else []
-      in
-      replies @ checkpoint
-  end
+  | msg -> Log.handle_message t (ops h) msg

@@ -37,9 +37,9 @@
 
     {2 Pacemaker contract}
 
-    Leader rotation is demand-driven, not round-driven: the core reuses
-    the [View_change]/[New_view] sub-protocol (including
-    {!Pbft_replica}'s spam rate limits, surfaced through
+    Leader rotation is demand-driven, not round-driven: the core runs the
+    [View_change]/[New_view] sub-protocol of {!Replica_log} (the one
+    {!Pbft_replica} runs, with its spam rate limits, surfaced through
     {!vc_spam_suppressed}) and relies on the hosting system's demand
     timer as its pacemaker.  The host escalates exactly as for PBFT —
     first {!nudge} (vote/certificate retransmission), then
@@ -52,78 +52,15 @@
     This makes leader failure the {e expensive} path — the asymmetry the
     [byzantine] bench figure measures.
 
-    Checkpointing, garbage collection, {!stable_certificate} and
-    {!install_checkpoint} follow {!Pbft_replica} exactly, so durable
-    backends and checkpoint-certificate state transfer work unmodified. *)
+    This module holds only the proposal / vote / QC phases and their
+    retransmission ({!nudge}: a backup re-sends its current-phase vote,
+    drawing the leader's certificate echo; the leader re-broadcasts its
+    proposal and highest certificate).  Execution hand-off,
+    checkpointing, garbage collection, {!stable_certificate} and
+    {!install_checkpoint} are the {!Replica_log} envelope shared with
+    {!Pbft_replica}, so durable backends and checkpoint-certificate state
+    transfer work unmodified. *)
 
 type t
 
-val create : Config.t -> id:int -> t
-
-val id : t -> int
-
-val view : t -> int
-
-val is_leader : t -> bool
-(** Whether this replica leads the current view (round-robin with the
-    view number, as in PBFT). *)
-
-val last_executed : t -> int
-
-val last_stable_checkpoint : t -> int
-
-val in_view_change : t -> bool
-
-val propose : t -> reqs:Message.request_ref list -> digest:string -> wire_bytes:int -> Message.batch option * Action.t list
-(** Leader only: assign the next sequence number to a batch, broadcast
-    its [Hs_proposal] (chained to the previous proposal's digest through
-    the [parent] field) and vote for it.  Returns [None] (and no
-    actions) when this replica is not the leader, is mid view-change, or
-    the window is full. *)
-
-val handle_message : t -> Message.t -> Action.t list
-(** Feed one protocol message.  Unknown views / stale sequence numbers
-    are ignored; duplicates are idempotent (a duplicate vote draws a
-    one-per-phase certificate echo — the loss-recovery path). *)
-
-val handle_executed : t -> seq:int -> state_digest:string -> result:string -> Action.t list
-(** The hosting system reports that the batch at [seq] finished
-    executing.  Must be called in sequence order.  Emits client Replies
-    and, on checkpoint boundaries, a Checkpoint broadcast. *)
-
-val suspect_primary : t -> Action.t list
-(** Pacemaker escalation: start a view change towards view+1.
-    Idempotent while a view change to the same view is in flight. *)
-
-val view_change_retransmit : t -> Action.t list
-(** Re-broadcast the pending View_change (with refreshed certificate
-    proofs).  Empty when no view change is in flight. *)
-
-val nudge : t -> Action.t list
-(** Pacemaker retransmission for the oldest unexecuted slot: a backup
-    re-sends its current-phase vote (drawing the leader's certificate
-    echo), the leader re-broadcasts its proposal and highest
-    certificate, and a batchless slot asks the leader to fill the hole.
-    Empty when nothing is stuck or a view change is in flight. *)
-
-val pending_slots : t -> int
-(** Consensus slots currently tracked (for tests and saturation
-    metrics). *)
-
-val equivocations_detected : t -> int
-(** Conflicting proposals (or certificates conflicting with a held
-    proposal) observed: evidence of an equivocating leader. *)
-
-val vc_spam_suppressed : t -> int
-(** View-change messages discarded by the per-sender rate limit
-    (inherited unchanged from the PBFT view-change sub-protocol). *)
-
-val stable_certificate : t -> (int * string * int list) option
-(** The last stable checkpoint as [(seq, state_digest, senders)], for
-    state-transfer donors; [None] until the first stable checkpoint. *)
-
-val install_checkpoint : t -> seq:int -> state_digest:string -> unit
-(** State-transfer admit: fast-forward this core to the stable
-    checkpoint at [seq] exactly as a 2f+1 Checkpoint quorum would,
-    without emitting actions.  A no-op when [seq] is not beyond the
-    current stable checkpoint. *)
+include Replica_log.REPLICA with type t := t

@@ -71,9 +71,6 @@ let waiting_instance t = Merge.waiting_instance t.merge
 
 let merge_pending_of t inst = Merge.pending_of t.merge inst
 
-let pending_instances t =
-  Array.fold_left (fun acc c -> acc + Pbft_replica.pending_instances c) 0 t.cores
-
 let equivocations_detected t =
   Array.fold_left (fun acc c -> acc + Pbft_replica.equivocations_detected c) 0 t.cores
 

@@ -100,10 +100,6 @@ val last_stable_checkpoint : t -> int
 (** The global stable prefix: every global sequence number up to this is
     covered by some instance's stable checkpoint. *)
 
-val pending_instances : t -> int
-(** Total consensus slots tracked across all instances (saturation
-    metrics). *)
-
 val equivocations_detected : t -> int
 (** Conflicting pre-prepares observed, summed over all instances (see
     {!Pbft_replica.equivocations_detected}). *)

@@ -1,3 +1,10 @@
+(* PBFT's ordering phases (pre-prepare, prepare, commit) over the shared
+   replication envelope: execution hand-off, checkpoints, view change and
+   hole filling live in {!Replica_log}, which this module parameterises
+   with its slot type. *)
+
+module Log = Replica_log
+
 type instance = {
   i_view : int;
   i_seq : int;
@@ -5,7 +12,6 @@ type instance = {
   mutable sent_prepare : bool;
   mutable sent_commit : bool;
   mutable committed : bool;
-  mutable executed : bool;
   mutable hole_requested : bool;
       (* one pre-prepare retransmission request per slot (see Fill_hole) *)
   mutable echoed_to : int list;
@@ -17,88 +23,24 @@ type instance = {
   commits : string Quorum.t;
 }
 
-type t = {
-  config : Config.t;
-  id : int;
-  mutable view : int;
-  mutable next_seq : int; (* primary's sequence counter *)
-  mutable last_executed : int; (* highest seq handed to the execution layer *)
-  mutable last_exec_ack : int; (* highest seq the execution layer confirmed *)
-  mutable last_stable : int;
-  mutable in_view_change : bool;
-  mutable vc_target : int; (* view we are trying to move to *)
-  instances : (int * int, instance) Hashtbl.t; (* (view, seq) *)
-  committed_batches : (int, Message.batch) Hashtbl.t; (* seq -> batch, awaiting execution *)
-  executed_batches : (int, Message.batch) Hashtbl.t; (* seq -> batch, awaiting executed-callback *)
-  checkpoints : (int * string) Quorum.t; (* (seq, state digest) *)
-  view_changes : int Quorum.t; (* new-view number *)
-  vc_messages : (int, (int * Message.prepared_proof list) list) Hashtbl.t;
-      (* new-view -> (sender, prepared proofs) *)
-  mutable own_checkpoint_digests : (int * string) list; (* seq -> our state digest *)
-  mutable last_new_view : Message.t option;
-      (* the New_view we broadcast as primary, kept to answer laggards whose
-         view-change messages were lost *)
-  mutable stable_cert : (int * string * int list) option;
-      (* the 2f+1 senders behind the last stable checkpoint, retained after
-         the quorum table is garbage-collected so a state-transfer donor can
-         ship the certificate *)
-  mutable equivocations : int;
-      (* conflicting pre-prepares observed for an occupied slot: evidence of
-         an equivocating primary (each conflict is counted, then dropped) *)
-  mutable vc_suppressed : int;
-      (* view-change messages discarded by the spam rate limit below *)
-  vc_registered : (int, int list) Hashtbl.t;
-      (* sender -> distinct pending new-views it has registered above our
-         current view; bounds how much view-change state one byzantine
-         peer can make us hold *)
-}
+type t = instance Log.t
 
-(* View-change spam limits: a sender may register at most
-   [max_pending_vcs] distinct future views, none further than
-   [max_vc_skew] views ahead of ours.  Honest replicas advance their
-   view-change target one view at a time, so legitimate traffic sits far
-   inside both bounds; a spammer flooding fabricated view numbers is
-   clipped after a handful of table entries. *)
-let max_vc_skew = 8
-let max_pending_vcs = 4
+let protocol = "pbft"
+let create = Log.create
+let view (t : t) = t.view
+let is_primary = Log.is_primary
+let last_executed (t : t) = t.last_executed
+let last_stable_checkpoint (t : t) = t.last_stable
+let in_view_change (t : t) = t.in_view_change
+let pending_slots (t : t) = Hashtbl.length t.slots
+let equivocations_detected (t : t) = t.equivocations
+let vc_spam_suppressed (t : t) = t.vc_suppressed
+let stable_certificate (t : t) = t.stable_cert
+let install_checkpoint = Log.install_checkpoint
+let handle_executed = Log.handle_executed
 
-let create config ~id =
-  {
-    config;
-    id;
-    view = 0;
-    next_seq = 1;
-    last_executed = 0;
-    last_exec_ack = 0;
-    last_stable = 0;
-    in_view_change = false;
-    vc_target = 0;
-    instances = Hashtbl.create 256;
-    committed_batches = Hashtbl.create 64;
-    executed_batches = Hashtbl.create 64;
-    checkpoints = Quorum.create ();
-    view_changes = Quorum.create ();
-    vc_messages = Hashtbl.create 8;
-    own_checkpoint_digests = [];
-    last_new_view = None;
-    stable_cert = None;
-    equivocations = 0;
-    vc_suppressed = 0;
-    vc_registered = Hashtbl.create 8;
-  }
-
-let id t = t.id
-let view t = t.view
-let is_primary t = Config.primary_of_view t.config t.view = t.id
-let last_executed t = t.last_executed
-let last_stable_checkpoint t = t.last_stable
-let in_view_change t = t.in_view_change
-let pending_instances t = Hashtbl.length t.instances
-let equivocations_detected t = t.equivocations
-let vc_spam_suppressed t = t.vc_suppressed
-
-let instance t ~view ~seq =
-  match Hashtbl.find_opt t.instances (view, seq) with
+let instance (t : t) ~view ~seq =
+  match Hashtbl.find_opt t.slots (view, seq) with
   | Some i -> i
   | None ->
     let i =
@@ -109,35 +51,23 @@ let instance t ~view ~seq =
         sent_prepare = false;
         sent_commit = false;
         committed = false;
-        executed = false;
         hole_requested = false;
         echoed_to = [];
         prepares = Quorum.create ();
         commits = Quorum.create ();
       }
     in
-    Hashtbl.add t.instances (view, seq) i;
+    Hashtbl.add t.slots (view, seq) i;
     i
 
-let in_window t seq = seq > t.last_stable && seq <= t.last_stable + t.config.Config.high_water_mark
+let prepare_msg (t : t) (i : instance) d =
+  Message.Prepare { view = i.i_view; seq = i.i_seq; digest = d; from = t.id }
 
-(* Emits Execute actions for every committed batch that is next in order. *)
-let try_execute t =
-  let actions = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt t.committed_batches (t.last_executed + 1) with
-    | Some batch ->
-      Hashtbl.remove t.committed_batches batch.Message.seq;
-      Hashtbl.replace t.executed_batches batch.Message.seq batch;
-      t.last_executed <- batch.Message.seq;
-      actions := Action.Execute batch :: !actions
-    | None -> continue := false
-  done;
-  List.rev !actions
+let commit_msg (t : t) (i : instance) d =
+  Message.Commit { view = i.i_view; seq = i.i_seq; digest = d; from = t.id }
 
 (* Re-evaluates an instance after new evidence arrived. *)
-let progress t (i : instance) =
+let progress (t : t) (i : instance) =
   let actions = ref [] in
   (match i.batch with
   | None -> ()
@@ -148,7 +78,7 @@ let progress t (i : instance) =
     if (not i.sent_commit) && Quorum.count i.prepares d >= Config.prepare_quorum t.config then begin
       i.sent_commit <- true;
       ignore (Quorum.add i.commits d t.id);
-      actions := Action.Broadcast (Message.Commit { view = i.i_view; seq = i.i_seq; digest = d; from = t.id }) :: !actions
+      actions := Action.Broadcast (commit_msg t i d) :: !actions
     end;
     if (not i.committed) && Quorum.count i.commits d >= Config.commit_quorum t.config then begin
       i.committed <- true;
@@ -156,7 +86,7 @@ let progress t (i : instance) =
     end);
   !actions
 
-let accept_pre_prepare t ~view ~(batch : Message.batch) =
+let accept_pre_prepare (t : t) ~view ~(batch : Message.batch) =
   let i = instance t ~view ~seq:batch.Message.seq in
   match i.batch with
   | Some existing when not (String.equal existing.Message.digest batch.Message.digest) ->
@@ -174,22 +104,19 @@ let accept_pre_prepare t ~view ~(batch : Message.batch) =
     let actions = ref [] in
     (* Backups answer with Prepare; the primary's pre-prepare stands for its
        prepare. *)
-    if Config.primary_of_view t.config view <> t.id && not i.sent_prepare then begin
+    if Log.leader_of t view <> t.id && not i.sent_prepare then begin
       i.sent_prepare <- true;
       ignore (Quorum.add i.prepares batch.Message.digest t.id);
-      actions :=
-        Action.Broadcast
-          (Message.Prepare { view; seq = batch.Message.seq; digest = batch.Message.digest; from = t.id })
-        :: !actions
+      actions := [ Action.Broadcast (prepare_msg t i batch.Message.digest) ]
     end;
     (* Evaluation order matters: [progress] must record a commit before
        [try_execute] looks for executable batches. *)
     let advanced = progress t i in
-    let executed = try_execute t in
+    let executed = Log.try_execute t in
     !actions @ advanced @ executed
 
-let propose t ~reqs ~digest ~wire_bytes =
-  if (not (is_primary t)) || t.in_view_change || not (in_window t t.next_seq) then (None, [])
+let propose (t : t) ~reqs ~digest ~wire_bytes =
+  if (not (is_primary t)) || t.in_view_change || not (Log.in_window t t.next_seq) then (None, [])
   else begin
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
@@ -197,195 +124,6 @@ let propose t ~reqs ~digest ~wire_bytes =
     let actions = accept_pre_prepare t ~view:t.view ~batch in
     ( Some batch,
       Action.Broadcast (Message.Pre_prepare { view = t.view; seq; batch; from = t.id }) :: actions )
-  end
-
-(* ---- checkpointing ------------------------------------------------------ *)
-
-let note_checkpoint t ~seq ~state_digest ~from =
-  let n = Quorum.add t.checkpoints (seq, state_digest) from in
-  if n >= Config.commit_quorum t.config && seq > t.last_stable then begin
-    t.last_stable <- seq;
-    (* Retain the certificate before the quorum table is collected below:
-       a state-transfer donor ships it as proof of the checkpoint. *)
-    t.stable_cert <- Some (seq, state_digest, Quorum.senders t.checkpoints (seq, state_digest));
-    (* A replica that fell behind adopts the stable checkpoint: the 2f+1
-       matching digests stand in for a state transfer. *)
-    if t.last_executed < seq then begin
-      t.last_executed <- seq;
-      t.last_exec_ack <- max t.last_exec_ack seq;
-      let stale =
-        Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) t.committed_batches []
-      in
-      List.iter (Hashtbl.remove t.committed_batches) stale
-    end;
-    (* Garbage-collect everything at or below the stable checkpoint. *)
-    let doomed =
-      Hashtbl.fold (fun (v, s) _ acc -> if s <= seq then (v, s) :: acc else acc) t.instances []
-    in
-    List.iter (Hashtbl.remove t.instances) doomed;
-    Quorum.filter_keys t.checkpoints (fun (s, _) -> s > seq);
-    t.own_checkpoint_digests <- List.filter (fun (s, _) -> s > seq) t.own_checkpoint_digests;
-    let doomed_exec =
-      Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) t.executed_batches []
-    in
-    List.iter (Hashtbl.remove t.executed_batches) doomed_exec;
-    [ Action.Stable_checkpoint seq ]
-  end
-  else []
-
-let stable_certificate t = t.stable_cert
-
-(* State-transfer admit: the verified checkpoint certificate plays the role
-   of the 2f+1 Checkpoint messages, so the core fast-forwards exactly as
-   [note_checkpoint] would — without emitting a [Stable_checkpoint] action
-   (the host already installed the transferred ledger segment). *)
-let install_checkpoint t ~seq ~state_digest =
-  if seq > t.last_stable then begin
-    t.last_stable <- seq;
-    t.stable_cert <- Some (seq, state_digest, []);
-    if t.last_executed < seq then begin
-      t.last_executed <- seq;
-      t.last_exec_ack <- max t.last_exec_ack seq;
-      let stale =
-        Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) t.committed_batches []
-      in
-      List.iter (Hashtbl.remove t.committed_batches) stale
-    end;
-    t.next_seq <- max t.next_seq (seq + 1);
-    let doomed =
-      Hashtbl.fold (fun (v, s) _ acc -> if s <= seq then (v, s) :: acc else acc) t.instances []
-    in
-    List.iter (Hashtbl.remove t.instances) doomed;
-    Quorum.filter_keys t.checkpoints (fun (s, _) -> s > seq);
-    t.own_checkpoint_digests <- List.filter (fun (s, _) -> s > seq) t.own_checkpoint_digests;
-    let doomed_exec =
-      Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) t.executed_batches []
-    in
-    List.iter (Hashtbl.remove t.executed_batches) doomed_exec
-  end
-
-(* ---- view change -------------------------------------------------------- *)
-
-(* Prepared proofs: instances that reached the prepared state (2f prepares)
-   above the stable checkpoint, reported with their batch so the new primary
-   can re-propose. *)
-let prepared_proofs t =
-  Hashtbl.fold
-    (fun (v, s) (i : instance) acc ->
-      if s > t.last_stable && i.sent_commit then
-        match i.batch with
-        | Some b ->
-          { Message.p_view = v; p_seq = s; p_digest = b.Message.digest; p_batch = b } :: acc
-        | None -> acc
-      else acc)
-    t.instances []
-
-let start_view_change t ~target =
-  if t.in_view_change && t.vc_target >= target then []
-  else begin
-    t.in_view_change <- true;
-    t.vc_target <- target;
-    let vc =
-      Message.View_change
-        { new_view = target; last_stable = t.last_stable; prepared = prepared_proofs t; from = t.id }
-    in
-    (* Count our own view-change towards the quorum. *)
-    ignore (Quorum.add t.view_changes target t.id);
-    let mine = (t.id, prepared_proofs t) in
-    let existing = Option.value ~default:[] (Hashtbl.find_opt t.vc_messages target) in
-    if not (List.mem_assoc t.id existing) then Hashtbl.replace t.vc_messages target (mine :: existing);
-    [ Action.Broadcast vc ]
-  end
-
-let suspect_primary t = start_view_change t ~target:(t.view + 1)
-
-(* Re-broadcast our pending View_change: view-change messages carry no
-   retransmission of their own, so under loss the quorum can starve without
-   this (the hosting system's timer calls it while the change is stuck). *)
-let view_change_retransmit t =
-  if not t.in_view_change then []
-  else
-    [
-      Action.Broadcast
-        (Message.View_change
-           {
-             new_view = t.vc_target;
-             last_stable = t.last_stable;
-             prepared = prepared_proofs t;
-             from = t.id;
-           });
-    ]
-
-(* Once a view installs, registrations at or below it are settled and no
-   longer count against their sender's spam budget. *)
-let prune_vc_registry t =
-  Hashtbl.filter_map_inplace
-    (fun _ vs ->
-      match List.filter (fun v -> v > t.view) vs with [] -> None | vs -> Some vs)
-    t.vc_registered
-
-(* The new primary assembles New_view once it has a 2f+1 view-change quorum. *)
-let maybe_new_view t ~target =
-  if Config.primary_of_view t.config target <> t.id then []
-  else if Quorum.count t.view_changes target < Config.commit_quorum t.config then []
-  else if t.view >= target then []
-  else begin
-    let vcs = Option.value ~default:[] (Hashtbl.find_opt t.vc_messages target) in
-    (* For every sequence number above the stable checkpoint that is prepared
-       in any view-change message, re-propose the batch with the highest
-       view; fill gaps with no-ops. *)
-    let best : (int, Message.prepared_proof) Hashtbl.t = Hashtbl.create 32 in
-    List.iter
-      (fun (_, proofs) ->
-        List.iter
-          (fun (p : Message.prepared_proof) ->
-            match Hashtbl.find_opt best p.Message.p_seq with
-            | Some q when q.Message.p_view >= p.Message.p_view -> ()
-            | _ -> Hashtbl.replace best p.Message.p_seq p)
-          proofs)
-      vcs;
-    let max_seq = Hashtbl.fold (fun s _ acc -> max s acc) best t.last_stable in
-    let pre_prepares = ref [] in
-    for seq = t.last_stable + 1 to max_seq do
-      let batch =
-        match Hashtbl.find_opt best seq with
-        | Some p ->
-          { p.Message.p_batch with Message.view = target }
-        | None ->
-          (* No-op filler so execution stays gap-free. *)
-          {
-            Message.view = target;
-            seq;
-            digest = "noop:" ^ string_of_int seq;
-            reqs = [];
-            wire_bytes = 0;
-          }
-      in
-      pre_prepares := batch :: !pre_prepares
-    done;
-    let pre_prepares = List.rev !pre_prepares in
-    t.view <- target;
-    t.in_view_change <- false;
-    prune_vc_registry t;
-    t.next_seq <- max_seq + 1;
-    let nv =
-      Message.New_view
-        { view = target; vc_senders = Quorum.senders t.view_changes target; pre_prepares; from = t.id }
-    in
-    t.last_new_view <- Some nv;
-    let adopt =
-      List.concat_map (fun b -> accept_pre_prepare t ~view:target ~batch:b) pre_prepares
-    in
-    Action.Broadcast nv :: adopt
-  end
-
-let handle_new_view t ~view ~(pre_prepares : Message.batch list) ~from =
-  if view < t.view || Config.primary_of_view t.config view <> from then []
-  else begin
-    t.view <- view;
-    t.in_view_change <- false;
-    prune_vc_registry t;
-    List.concat_map (fun (b : Message.batch) -> accept_pre_prepare t ~view ~batch:b) pre_prepares
   end
 
 (* ---- vote retransmission ------------------------------------------------- *)
@@ -397,7 +135,7 @@ let handle_new_view t ~view ~(pre_prepares : Message.batch list) ~from =
    loss-free path (where duplicates never occur).  At most one echo per
    (slot, peer): the echo arrives as a duplicate too, and answering
    duplicates of duplicates would double the traffic every round trip. *)
-let echo_votes t (i : instance) ~dup ~target =
+let echo_votes (t : t) (i : instance) ~dup ~target =
   if (not dup) || List.mem target i.echoed_to then []
   else
     match i.batch with
@@ -405,109 +143,81 @@ let echo_votes t (i : instance) ~dup ~target =
     | Some b ->
       i.echoed_to <- target :: i.echoed_to;
       let d = b.Message.digest in
-      let commit =
-        if i.sent_commit then
-          [ Action.Send (target, Message.Commit { view = i.i_view; seq = i.i_seq; digest = d; from = t.id }) ]
-        else []
-      in
-      let prepare =
-        if i.sent_prepare then
-          [ Action.Send (target, Message.Prepare { view = i.i_view; seq = i.i_seq; digest = d; from = t.id }) ]
-        else []
-      in
+      let commit = if i.sent_commit then [ Action.Send (target, commit_msg t i d) ] else [] in
+      let prepare = if i.sent_prepare then [ Action.Send (target, prepare_msg t i d) ] else [] in
       prepare @ commit
 
 (* A full vote quorum pooled for a slot we hold no batch for proves the
    pre-prepare is long gone (it preceded every one of those votes): fetch it
    eagerly instead of waiting for the demand timer to notice the wedge.
-   Once per slot; the timer-driven [nudge] below is the backstop if the
+   Once per slot; the timer-driven [nudge] is the backstop if the
    retransmission is itself lost. *)
-let maybe_fetch_batch t (i : instance) ~digest =
+let maybe_fetch_batch (t : t) (i : instance) ~digest =
   if
     i.batch = None
     && (not i.hole_requested)
-    && Config.primary_of_view t.config i.i_view <> t.id
+    && Log.leader_of t i.i_view <> t.id
     && (Quorum.count i.commits digest >= Config.commit_quorum t.config
        || Quorum.count i.prepares digest >= Config.prepare_quorum t.config)
   then begin
     i.hole_requested <- true;
-    [
-      Action.Send
-        ( Config.primary_of_view t.config i.i_view,
-          Message.Fill_hole { view = i.i_view; from_seq = i.i_seq; to_seq = i.i_seq; from = t.id } );
-    ]
+    [ Log.fill_hole t ~view:i.i_view ~from_seq:i.i_seq ~to_seq:i.i_seq ]
   end
   else []
 
-(* Re-broadcast our votes for the oldest unexecuted instance.  Under message
-   loss a replica can be starved of prepares or commits the others already
-   sent (exactly once, as the protocol specifies); the duplicates this
-   produces make every peer echo its own votes back, restoring the starved
-   quorum far more cheaply than a view change.  A slot whose PRE-PREPARE was
-   lost is worse — the replica would wedge there forever — so for a batchless
-   slot we instead ask the primary to resend the missing range (Zyzzyva's
-   fill-hole sub-protocol, reused). *)
-let nudge t =
-  if t.in_view_change then []
-  else begin
-    let seq = t.last_executed + 1 in
-    if not (in_window t seq) then []
-    else begin
-      let fetch_hole () =
-        let primary = Config.primary_of_view t.config t.view in
-        if primary = t.id then []
-        else begin
-          (* Cover the contiguous run of batchless slots in one request. *)
-          let have = Hashtbl.create 64 in
-          Hashtbl.iter
-            (fun (_, s) (i : instance) -> if i.batch <> None then Hashtbl.replace have s ())
-            t.instances;
-          let to_seq = ref seq in
-          while
-            !to_seq - seq < 63 && in_window t (!to_seq + 1) && not (Hashtbl.mem have (!to_seq + 1))
-          do
-            incr to_seq
-          done;
-          [ Action.Send (primary, Message.Fill_hole { view = t.view; from_seq = seq; to_seq = !to_seq; from = t.id }) ]
-        end
-      in
-      (* The slot may have been proposed in an earlier view we since left;
-         re-send the votes from its highest incarnation. *)
-      let best =
-        Hashtbl.fold
-          (fun (v, s) (i : instance) acc ->
-            if s <> seq then acc
-            else match acc with Some (j : instance) when j.i_view >= v -> acc | _ -> Some i)
-          t.instances None
-      in
-      match best with
-      | None -> fetch_hole ()
-      | Some i -> (
-        match i.batch with
-        | None -> fetch_hole ()
-        | Some b ->
-          let d = b.Message.digest in
-          let prepare =
-            if i.sent_prepare && not i.sent_commit then
-              [ Action.Broadcast (Message.Prepare { view = i.i_view; seq = i.i_seq; digest = d; from = t.id }) ]
-            else []
-          in
-          let commit =
-            if i.sent_commit then
-              [ Action.Broadcast (Message.Commit { view = i.i_view; seq = i.i_seq; digest = d; from = t.id }) ]
-            else []
-          in
-          prepare @ commit)
-    end
-  end
+(* Re-broadcast our votes for a stuck slot.  Under message loss a replica
+   can be starved of prepares or commits the others already sent (exactly
+   once, as the protocol specifies); the duplicates this produces make
+   every peer echo its own votes back, restoring the starved quorum far
+   more cheaply than a view change. *)
+let revote (t : t) (i : instance) (b : Message.batch) =
+  let d = b.Message.digest in
+  let prepare =
+    if i.sent_prepare && not i.sent_commit then [ Action.Broadcast (prepare_msg t i d) ] else []
+  in
+  let commit = if i.sent_commit then [ Action.Broadcast (commit_msg t i d) ] else [] in
+  prepare @ commit
+
+let ops (t : t) =
+  {
+    Log.batch = (fun i -> i.batch);
+    prepared = (fun i -> i.sent_commit);
+    adopt = (fun ~view batch -> accept_pre_prepare t ~view ~batch);
+    proposal =
+      (fun i batch -> Message.Pre_prepare { view = i.i_view; seq = i.i_seq; batch; from = t.id });
+    revote = revote t;
+  }
+
+let suspect_primary t = Log.suspect_primary t (ops t)
+let view_change_retransmit t = Log.view_change_retransmit t (ops t)
+let nudge t = Log.nudge t (ops t)
 
 (* ---- message dispatch ---------------------------------------------------- *)
 
-let handle_message t (msg : Message.t) =
+(* A vote for [(view, seq)]: pool it, fetch a lost pre-prepare, echo a
+   retransmitting sender, and advance the slot. *)
+let note_vote (t : t) ~view ~seq ~digest ~from votes_of =
+  let i = instance t ~view ~seq in
+  let votes = votes_of i in
+  let dup = List.mem from (Quorum.senders votes digest) in
+  ignore (Quorum.add votes digest from);
+  let fetch = maybe_fetch_batch t i ~digest in
+  let advanced = progress t i in
+  let executed = Log.try_execute t in
+  fetch @ echo_votes t i ~dup ~target:from @ advanced @ executed
+
+(* Mid view-change only current-view traffic is ignored; votes for a
+   HIGHER view are buffered in their (view, seq) instance — they come from
+   replicas that installed the new view first, and dropping them would
+   starve the post-new-view quorums under message loss. *)
+let admits_vote (t : t) ~view ~seq =
+  not (view < t.view || (t.in_view_change && view = t.view) || not (Log.in_window t seq))
+
+let handle_message (t : t) (msg : Message.t) =
   match msg with
   | Message.Pre_prepare { view; seq; batch; from } ->
-    if view <> t.view || t.in_view_change || from <> Config.primary_of_view t.config view then []
-    else if not (in_window t seq) then []
+    if view <> t.view || t.in_view_change || from <> Log.leader_of t view then []
+    else if not (Log.in_window t seq) then []
     else if seq <> batch.Message.seq then []
     else begin
       let before = t.equivocations in
@@ -523,136 +233,9 @@ let handle_message t (msg : Message.t) =
       else actions
     end
   | Message.Prepare { view; seq; digest; from } ->
-    (* Mid view-change only current-view traffic is ignored; votes for a
-       HIGHER view are buffered in their (view, seq) instance — they come
-       from replicas that installed the new view first, and dropping them
-       would starve the post-new-view quorums under message loss. *)
-    if view < t.view || (t.in_view_change && view = t.view) || not (in_window t seq) then []
-    else begin
-      let i = instance t ~view ~seq in
-      let dup = List.mem from (Quorum.senders i.prepares digest) in
-      ignore (Quorum.add i.prepares digest from);
-      let fetch = maybe_fetch_batch t i ~digest in
-      let advanced = progress t i in
-      let executed = try_execute t in
-      fetch @ echo_votes t i ~dup ~target:from @ advanced @ executed
-    end
+    if not (admits_vote t ~view ~seq) then []
+    else note_vote t ~view ~seq ~digest ~from (fun i -> i.prepares)
   | Message.Commit { view; seq; digest; from } ->
-    if view < t.view || (t.in_view_change && view = t.view) || not (in_window t seq) then []
-    else begin
-      let i = instance t ~view ~seq in
-      let dup = List.mem from (Quorum.senders i.commits digest) in
-      ignore (Quorum.add i.commits digest from);
-      let fetch = maybe_fetch_batch t i ~digest in
-      let advanced = progress t i in
-      let executed = try_execute t in
-      fetch @ echo_votes t i ~dup ~target:from @ advanced @ executed
-    end
-  | Message.Checkpoint { seq; state_digest; from } -> note_checkpoint t ~seq ~state_digest ~from
-  | Message.View_change { new_view; prepared; from; _ } ->
-    if new_view <= t.view then begin
-      (* A laggard still trying to leave a view we already left: if we are
-         the primary that installed the current view, re-send our New_view
-         so it can catch up (re-adoption is idempotent). *)
-      match t.last_new_view with
-      | Some (Message.New_view { view; _ } as nv)
-        when view = t.view && Config.primary_of_view t.config t.view = t.id ->
-        [ Action.Send (from, nv) ]
-      | _ -> []
-    end
-    else begin
-      (* Spam rate limit: clip view numbers beyond any plausible horizon,
-         and cap how many distinct future views one sender may register.
-         Registration is idempotent, so honest retransmissions of a
-         pending view-change pass through unharmed. *)
-      let registered = Option.value ~default:[] (Hashtbl.find_opt t.vc_registered from) in
-      let fresh = not (List.mem new_view registered) in
-      if new_view > t.view + max_vc_skew || (fresh && List.length registered >= max_pending_vcs)
-      then begin
-        t.vc_suppressed <- t.vc_suppressed + 1;
-        []
-      end
-      else begin
-        if fresh then Hashtbl.replace t.vc_registered from (new_view :: registered);
-        ignore (Quorum.add t.view_changes new_view from);
-        let existing = Option.value ~default:[] (Hashtbl.find_opt t.vc_messages new_view) in
-        if not (List.mem_assoc from existing) then
-          Hashtbl.replace t.vc_messages new_view ((from, prepared) :: existing);
-        (* Join the view change once f+1 replicas vouch for it (liveness). *)
-        let join =
-          if
-            Quorum.count t.view_changes new_view >= t.config.Config.f + 1
-            && not (t.in_view_change && t.vc_target >= new_view)
-          then start_view_change t ~target:new_view
-          else []
-        in
-        (* [join] may have added our own view-change to the quorum, so the
-           new-view check must run after it. *)
-        let nv = maybe_new_view t ~target:new_view in
-        join @ nv
-      end
-    end
-  | Message.New_view { view; pre_prepares; from; _ } -> handle_new_view t ~view ~pre_prepares ~from
-  | Message.Fill_hole { view; from_seq; to_seq; from } ->
-    (* Pre-prepare retransmission (the fill-hole message reused from
-       Zyzzyva): a backup wedged on a slot whose pre-prepare was lost asks
-       for the batch; the votes it has pooled fire as soon as it lands. *)
-    if view <> t.view || Config.primary_of_view t.config view <> t.id || t.in_view_change then []
-    else
-      List.filter_map
-        (fun seq ->
-          match Hashtbl.find_opt t.instances (t.view, seq) with
-          | Some { batch = Some b; _ } ->
-            Some (Action.Send (from, Message.Pre_prepare { view = t.view; seq; batch = b; from = t.id }))
-          | _ -> None)
-        (List.init (max 0 (to_seq - from_seq + 1)) (fun i -> from_seq + i))
-  | Message.Order_request _ | Message.Commit_cert _ ->
-    (* Zyzzyva traffic; not ours. *)
-    []
-  | Message.Hs_proposal _ | Message.Hs_vote _ | Message.Hs_qc _ ->
-    (* HotStuff traffic; not ours. *)
-    []
-  | Message.State_request _ | Message.State_response _ ->
-    (* State transfer is served and admitted at the host level (it moves
-       ledger segments, which the core never holds). *)
-    []
-  | Message.Reply _ | Message.Spec_reply _ | Message.Local_commit _ ->
-    (* Client-bound messages never reach a replica core. *)
-    []
-
-let handle_executed t ~seq ~state_digest ~result =
-  if seq <= t.last_exec_ack then []
-  else if seq <> t.last_exec_ack + 1 then
-    invalid_arg "Pbft_replica.handle_executed: out of order"
-  else begin
-  t.last_exec_ack <- seq;
-  match Hashtbl.find_opt t.executed_batches seq with
-  | None -> []
-  | Some batch ->
-    Hashtbl.remove t.executed_batches seq;
-    let replies =
-      List.map
-        (fun (r : Message.request_ref) ->
-          Action.Send_client
-            ( r.Message.client,
-              Message.Reply
-                {
-                  view = batch.Message.view;
-                  seq;
-                  txn_id = r.Message.txn_id;
-                  client = r.Message.client;
-                  from = t.id;
-                  result;
-                } ))
-        batch.Message.reqs
-    in
-    let checkpoint =
-      if seq mod t.config.Config.checkpoint_interval = 0 then begin
-        t.own_checkpoint_digests <- (seq, state_digest) :: t.own_checkpoint_digests;
-        Action.Broadcast (Message.Checkpoint { seq; state_digest; from = t.id })
-        :: note_checkpoint t ~seq ~state_digest ~from:t.id
-      end
-      else []
-    in
-    replies @ checkpoint
-  end
+    if not (admits_vote t ~view ~seq) then []
+    else note_vote t ~view ~seq ~digest ~from (fun i -> i.commits)
+  | msg -> Log.handle_message t (ops t) msg

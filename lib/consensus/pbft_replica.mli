@@ -2,11 +2,13 @@
     inside ResilientDB.
 
     Pure core: all I/O is delegated to the caller through {!Action.t} lists.
-    The three normal-case phases (Pre-prepare, Prepare, Commit), checkpoint
-    garbage collection, and the view-change / new-view sub-protocol are
-    implemented.  Consensus on different sequence numbers proceeds
-    out-of-order (the paper's §4.5); [Execute] actions are nevertheless
-    emitted in strict sequence order (§4.6).
+    This module holds the three normal-case phases (Pre-prepare, Prepare,
+    Commit) and their vote retransmission; the replication envelope around
+    them — in-order execution hand-off, checkpoint garbage collection, and
+    the view-change / new-view sub-protocol — is {!Replica_log}, shared
+    with {!Hotstuff_replica}.  Consensus on different sequence numbers
+    proceeds out-of-order (the paper's §4.5); [Execute] actions are
+    nevertheless emitted in strict sequence order (§4.6).
 
     Fault model, as in the paper's experiments: crash faults and message
     reordering/duplication are exercised end-to-end; the quorum logic is
@@ -21,78 +23,4 @@
 
 type t
 
-val create : Config.t -> id:int -> t
-
-val id : t -> int
-
-val view : t -> int
-
-val is_primary : t -> bool
-
-val last_executed : t -> int
-
-val last_stable_checkpoint : t -> int
-
-val in_view_change : t -> bool
-
-val propose : t -> reqs:Message.request_ref list -> digest:string -> wire_bytes:int -> Message.batch option * Action.t list
-(** Primary only: assign the next sequence number to a batch and emit its
-    Pre-prepare.  Returns [None] (and no actions) when this replica is not
-    the primary, is mid view-change, or the window is full. *)
-
-val handle_message : t -> Message.t -> Action.t list
-(** Feed one protocol message.  Unknown views / stale sequence numbers are
-    ignored; duplicates are idempotent. *)
-
-val handle_executed : t -> seq:int -> state_digest:string -> result:string -> Action.t list
-(** The hosting system reports that the batch at [seq] finished executing.
-    Must be called in sequence order (execution is in-order by design).
-    Emits client Replies and, on checkpoint boundaries, a Checkpoint
-    broadcast. *)
-
-val suspect_primary : t -> Action.t list
-(** Trigger a view change towards view+1 (the hosting system decides when —
-    typically a client-request timer).  Idempotent while a view change to
-    the same view is in flight. *)
-
-val view_change_retransmit : t -> Action.t list
-(** Re-broadcast the pending View_change message (with refreshed prepared
-    proofs).  Empty when no view change is in flight.  The hosting system's
-    demand timer calls this so the view-change quorum survives message
-    loss. *)
-
-val nudge : t -> Action.t list
-(** Re-broadcast this replica's votes for the oldest unexecuted slot.  Peers
-    receiving the duplicates echo their own votes back, so a quorum starved
-    by message loss refills without a view change.  Empty when nothing is
-    stuck, the slot is outside the window, or a view change is in flight.
-    The hosting system's demand timer calls this one timeout before
-    escalating to {!suspect_primary}. *)
-
-val pending_instances : t -> int
-(** Consensus slots currently tracked (for tests and saturation metrics). *)
-
-val equivocations_detected : t -> int
-(** Conflicting pre-prepares observed for an occupied slot: evidence of an
-    equivocating primary.  Each conflict is counted once, then dropped. *)
-
-val vc_spam_suppressed : t -> int
-(** View-change messages discarded by the per-sender rate limit (view
-    numbers beyond the skew horizon, or more distinct pending views than
-    one peer may register). *)
-
-val stable_certificate : t -> (int * string * int list) option
-(** The last stable checkpoint as [(seq, state_digest, senders)]: the 2f+1
-    replicas whose matching Checkpoint messages made it stable.  Retained
-    across the quorum table's garbage collection so a state-transfer donor
-    can ship the certificate.  [None] until the first stable checkpoint
-    (and after {!install_checkpoint}, where the certificate arrived from
-    the donor instead of from our own quorum — senders are then []). *)
-
-val install_checkpoint : t -> seq:int -> state_digest:string -> unit
-(** State-transfer admit: fast-forward this core to the stable checkpoint
-    at [seq] exactly as a 2f+1 Checkpoint quorum would (garbage-collecting
-    instances and pending batches at or below it), without emitting
-    actions — the host has already installed the transferred ledger
-    segment.  A no-op when [seq] is not beyond the current stable
-    checkpoint. *)
+include Replica_log.REPLICA with type t := t

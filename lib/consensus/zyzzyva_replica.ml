@@ -241,7 +241,7 @@ let handle_executed t ~seq ~state_digest ~result =
             certs
       in
       let checkpoint =
-        if seq mod t.config.Config.checkpoint_interval = 0 then
+        if Replica_log.checkpoint_due t.config ~seq then
           [ Action.Broadcast (Message.Checkpoint { seq; state_digest; from = t.id }) ]
         else []
       in

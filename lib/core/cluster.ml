@@ -88,8 +88,8 @@ type host = {
           parallelism.  Empty when k = 1 *)
   exec_stage : Stage.t option;  (** None when E = 0: the worker executes *)
   exec_lanes : Stage.t array;
-      (** conflict-aware parallel execution (E >= 2, or E = 1 under
-          [exec_force_parallel]): one execute stage per lane
+      (** conflict-aware parallel execution (E >= 2): one execute stage
+          per lane
           ("execute-0" .. "execute-(E-1)"), fed round by round from the
           {!Rdb_replica.Exec_sched} plan.  Empty on the classic pipeline,
           where [exec_stage] carries the single execute-thread *)
@@ -1668,8 +1668,6 @@ let driver t =
         | _ -> ());
   }
 
-let inject t fault = Nemesis.apply (driver t) fault
-
 (* The breakdown rows in pipeline order (per role), so the printed table
    reads top to bottom the way a transaction flows.  The execute slots come
    from the configuration — the classic "execute" row, or "exec-sched" plus
@@ -2022,28 +2020,10 @@ let check_safety t =
     t.hosts;
   !ok
 
-(* Diagnostic snapshot used while developing and by verbose CLI modes. *)
-let debug_dump t =
-  let h0 = t.hosts.(0) in
-  let last_exec = core_last_exec h0 in
-  let pend_inst = Core.pending_slots h0.core in
-  Printf.printf
-    "t=%.2fs completed=%d next_txn=%d exec0=%d inst0=%d pending=%d workerq=%d batchq=%d tracks=%d\n%!"
-    (Sim.to_seconds (Sim.now t.sim))
-    t.completed_txns t.next_txn last_exec pend_inst (Queue.length h0.pending)
-    (Stage.queue_length h0.worker)
-    (match h0.batch_stage with Some s -> Stage.queue_length s | None -> -1)
-    (Hashtbl.length t.batches)
-
 (* ---- observability output ---------------------------------------------------- *)
 
 let trace_json t =
   match t.obs with None -> None | Some o -> Some (Trace.to_string o.trace)
-
-let series_csv t =
-  match t.obs with
-  | None -> None
-  | Some o -> (match o.series with None -> None | Some s -> Some (Series.to_csv_string s))
 
 let write_file path contents =
   let oc = open_out path in

@@ -67,10 +67,7 @@ val metrics_between : t -> snapshot -> snapshot -> Metrics.t
 
 (** {2 Faults and recovery}
 
-    The schedule in {!Params.t}[.nemesis] is installed by {!create};
-    {!inject} applies one extra fault immediately (same dispatch). *)
-
-val inject : t -> Nemesis.fault -> unit
+    The schedule in {!Params.t}[.nemesis] is installed by {!create}. *)
 
 val current_view : t -> int
 (** Highest view any replica has installed (0 until a view change). *)
@@ -154,16 +151,9 @@ val trace_json : t -> string option
     replica, one track per pipeline stage, counter tracks for queue depths
     and instant events for faults and view changes. *)
 
-val series_csv : t -> string option
-(** The sampled time-series (queue depths, occupancy, counters) as CSV;
-    [None] when tracing is off. *)
-
 val check_safety : t -> (unit, string) result
 (** Cross-replica agreement: every retained ledger verifies, and no two
     replicas committed different batches at the same sequence number. *)
-
-val debug_dump : t -> unit
-(** One-line diagnostic snapshot (queue depths, instance counts) to stdout. *)
 
 val measure : t -> Metrics.t
 (** Drive a freshly created (not yet started) cluster through its warmup

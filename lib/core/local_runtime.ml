@@ -46,17 +46,24 @@ type t = {
   mutable hosts : Host.t array;
   client_signer : Signer.t;
   queue : envelope Queue.t;
-  outstanding : (int, Host.request * string) Hashtbl.t;
-      (** txn id -> the signed request, held as its client would until the
-          result is accepted, so a new primary can be handed it again *)
+  outstanding : (int * int, int * (Host.request * string)) Hashtbl.t;
+      (** (client, wire id) -> the txn id and signed request, held as its
+          client would until the result is accepted, so a new primary can
+          be handed it again *)
   clients : (int, Client.t) Hashtbl.t;
   mutable next_txn : int;
+  next_wire_id : (int, int) Hashtbl.t;
+      (** client -> its next wire id.  On the wire each client numbers its
+          requests from 0, as [resdb_client] does, so a host's executed-id
+          watermark advances for every client; the runtime-wide txn id is
+          this API's name for a request only. *)
   mutable crashed : int list;
   mutable completed : (int * string) list;  (** newest first *)
   mutable auth_failures : int;
   verified_reqs : unit Vcache.t;
-      (** client signatures a primary has accepted, keyed by txn id: a view
-          change re-batches pending requests without re-verifying *)
+      (** client signatures a primary has accepted, keyed by the signed
+          content plus the signature: a view change re-batches pending
+          requests without re-verifying *)
   seen : unit Vcache.t array;
       (** per replica, the (message, tag) pairs it has accepted: a repeated
           message (a laggard re-asking for state) skips the CMAC *)
@@ -80,8 +87,9 @@ let client_for t id =
 let deliver_client t cid msg =
   List.iter
     (function
-      | Client.Complete { txn_id; result } ->
-        Hashtbl.remove t.outstanding txn_id;
+      | Client.Complete { txn_id = wire_id; result } ->
+        let txn_id, _ = Hashtbl.find t.outstanding (cid, wire_id) in
+        Hashtbl.remove t.outstanding (cid, wire_id);
         t.completed <- (txn_id, result) :: t.completed
       | Client.Send _ | Client.Broadcast_request _ -> ())
     (Client.handle_reply (client_for t cid) msg)
@@ -114,6 +122,7 @@ let create ?(config = default_config) ?(trace = false) ?footprint ~apply () =
       outstanding = Hashtbl.create 256;
       clients = Hashtbl.create 16;
       next_txn = 0;
+      next_wire_id = Hashtbl.create 16;
       crashed = [];
       completed = [];
       auth_failures = 0;
@@ -126,17 +135,13 @@ let create ?(config = default_config) ?(trace = false) ?footprint ~apply () =
   let client_verifier = Signer.verifier client_signer in
   (* The primary verifies each client signature at admission (§4.3).
      Verify-sharing: a request admitted once (then re-batched by a new
-     primary after a view change) skips straight to the memo table — its
-     payload and signature are immutable under its txn id. *)
-  let verify (req : Host.request) ~signature =
-    let key = string_of_int req.Host.txn_id in
+     primary after a view change) skips straight to the memo table, keyed
+     by exactly the bytes the signature covers plus the signature. *)
+  let verify { Host.client; txn_id; payload } ~signature =
+    let key = Wire.request_auth ~client ~txn_id ~payload ^ signature in
     Vcache.mem t.verified_reqs key
     ||
-    let ok =
-      Signer.verify client_verifier
-        (Printf.sprintf "%d|%s" req.Host.client req.Host.payload)
-        ~signature
-    in
+    let ok = Wire.verify_request client_verifier ~client ~txn_id ~payload ~signature in
     if ok then Vcache.add t.verified_reqs key ();
     ok
   in
@@ -180,10 +185,12 @@ let to_primary t (req, signature) =
 let submit t ~client ~payload =
   let txn_id = t.next_txn in
   t.next_txn <- txn_id + 1;
-  let signature = Signer.sign t.client_signer (Printf.sprintf "%d|%s" client payload) in
-  let signed = ({ Host.client; txn_id; payload }, signature) in
-  Hashtbl.replace t.outstanding txn_id signed;
-  ignore (Client.submit (client_for t client) ~txn_id);
+  let wire_id = Option.value ~default:0 (Hashtbl.find_opt t.next_wire_id client) in
+  Hashtbl.replace t.next_wire_id client (wire_id + 1);
+  let signature = Wire.sign_request t.client_signer ~client ~txn_id:wire_id ~payload in
+  let signed = ({ Host.client; txn_id = wire_id; payload }, signature) in
+  Hashtbl.replace t.outstanding (client, wire_id) (txn_id, signed);
+  ignore (Client.submit (client_for t client) ~txn_id:wire_id);
   to_primary t signed;
   txn_id
 
@@ -231,6 +238,8 @@ let recover t id =
 
 let applied t id = Host.applied t.hosts.(id)
 
+let ids_above_watermark t id = Host.ids_above_watermark t.hosts.(id)
+
 let close t = Array.iter (fun h -> Ledger.close (Host.ledger h)) t.hosts
 (* Durable backends flush their WAL and persist counters on close, so a
    later [create] over the same [durable_dir] resumes at the tip. *)
@@ -244,7 +253,7 @@ let force_view_change t =
      Completed transactions are no longer outstanding, so they are never
      re-proposed, and verify-sharing makes a re-batched admitted request
      cost a memo-table probe, not a second signature verification. *)
-  Hashtbl.fold (fun id signed acc -> (id, signed) :: acc) t.outstanding []
+  Hashtbl.fold (fun _ pending acc -> pending :: acc) t.outstanding []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.iter (fun (_, signed) -> to_primary t signed)
 

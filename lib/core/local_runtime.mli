@@ -111,6 +111,10 @@ val applied : t -> int -> int
 (** Highest sequence number reflected in a replica's application state
     (through execution or state transfer). *)
 
+val ids_above_watermark : t -> int -> int
+(** Executed request ids a replica remembers one by one, above their
+    client's watermark (see {!Replica_host.ids_above_watermark}). *)
+
 val close : t -> unit
 (** Flush and close every replica's ledger backend.  Only meaningful with
     [durable_dir]: a later {!create} over the same directory then resumes

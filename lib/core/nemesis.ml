@@ -121,8 +121,6 @@ let describe = function
     Printf.sprintf "replica %d spams view changes every %dns" node period
   | Restore_honest node -> Printf.sprintf "replica %d restored to honesty" node
 
-let pp_fault ppf f = Format.pp_print_string ppf (describe f)
-
 let validate ~n schedule =
   let check_node what i =
     if i < 0 || i >= n then

@@ -159,8 +159,6 @@ val attacker_of : fault -> int option
 
 val describe : fault -> string
 
-val pp_fault : Format.formatter -> fault -> unit
-
 val validate : n:int -> schedule -> unit
 (** Raises [Invalid_argument] on out-of-range replica ids, overlapping
     partition sides, rates outside [\[0, 1)], negative times, or a schedule

@@ -106,7 +106,6 @@ module Exec = struct
     batch_threads : int;
     execute_threads : int;
     exec_records : int;
-    exec_force_parallel : bool;
     sqlite : bool;
     cost : Rdb_crypto.Cost_model.t;
   }
@@ -117,16 +116,14 @@ module Exec = struct
       batch_threads = 2;
       execute_threads = 1;
       exec_records = 600_000;
-      exec_force_parallel = false;
       sqlite = false;
       cost = Rdb_crypto.Cost_model.default;
     }
 
   let v ?(cores = default.cores) ?(batch_threads = default.batch_threads)
       ?(execute_threads = default.execute_threads) ?(exec_records = default.exec_records)
-      ?(exec_force_parallel = default.exec_force_parallel) ?(sqlite = default.sqlite)
-      ?(cost = default.cost) () =
-    { cores; batch_threads; execute_threads; exec_records; exec_force_parallel; sqlite; cost }
+      ?(sqlite = default.sqlite) ?(cost = default.cost) () =
+    { cores; batch_threads; execute_threads; exec_records; sqlite; cost }
 end
 
 module Faults = struct
@@ -238,7 +235,6 @@ type t = {
   batch_threads : int;
   execute_threads : int;
   exec_records : int;
-  exec_force_parallel : bool;
   checkpoint_txns : int;
   max_inflight_batches : int;
   crashed_backups : int;
@@ -291,7 +287,6 @@ let assemble (c : Consensus.t) (w : Workload.t) (e : Exec.t) (fa : Faults.t) (d 
     batch_threads = e.Exec.batch_threads;
     execute_threads = e.Exec.execute_threads;
     exec_records = e.Exec.exec_records;
-    exec_force_parallel = e.Exec.exec_force_parallel;
     checkpoint_txns = c.Consensus.checkpoint_txns;
     max_inflight_batches = c.Consensus.max_inflight_batches;
     crashed_backups = fa.Faults.crashed_backups;
@@ -364,7 +359,6 @@ let exec (p : t) : Exec.t =
     batch_threads = p.batch_threads;
     execute_threads = p.execute_threads;
     exec_records = p.exec_records;
-    exec_force_parallel = p.exec_force_parallel;
     sqlite = p.sqlite;
     cost = p.cost;
   }
@@ -462,12 +456,8 @@ let with_trace trace = map_obs (fun o -> { o with Obs.trace })
 let f t = (t.n - 1) / 3
 
 (** Conflict-aware execute lanes this configuration runs: [execute_threads]
-    when E >= 2, one when [exec_force_parallel] routes E = 1 through the
-    lane machinery, 0 for the classic (E <= 1) pipeline. *)
-let exec_lanes t =
-  if t.execute_threads > 1 then t.execute_threads
-  else if t.exec_force_parallel && t.execute_threads = 1 then 1
-  else 0
+    when E >= 2, 0 for the classic (E <= 1) pipeline. *)
+let exec_lanes t = if t.execute_threads > 1 then t.execute_threads else 0
 
 let obs_enabled t = t.trace || t.trace_out <> None || t.trace_csv <> None
 
@@ -482,8 +472,6 @@ let validate t =
        scheduler; the paper's bare multi-threaded execution is never allowed because \
        unscheduled execution threads cause data conflicts)";
   if t.exec_records < 1 then invalid_arg "Params: exec_records must be >= 1";
-  if t.exec_force_parallel && t.execute_threads < 1 then
-    invalid_arg "Params: exec_force_parallel needs execute_threads >= 1";
   if t.batch_threads < 0 then invalid_arg "Params: batch_threads must be >= 0";
   if t.crashed_backups > f t then invalid_arg "Params: cannot crash more than f backups";
   if t.clients < 1 then invalid_arg "Params: need at least one client";

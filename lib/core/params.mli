@@ -106,8 +106,6 @@ module Exec : sig
             conflict-aware parallel execution lanes *)
     exec_records : int;
         (** keyspace size execution footprints are drawn from (conflict knob) *)
-    exec_force_parallel : bool;
-        (** route E = 1 through the lane machinery (ablation knob) *)
     sqlite : bool;  (** off-memory storage for execution (Fig. 14) *)
     cost : Rdb_crypto.Cost_model.t;
   }
@@ -119,7 +117,6 @@ module Exec : sig
     ?batch_threads:int ->
     ?execute_threads:int ->
     ?exec_records:int ->
-    ?exec_force_parallel:bool ->
     ?sqlite:bool ->
     ?cost:Rdb_crypto.Cost_model.t ->
     unit ->
@@ -245,7 +242,6 @@ type t = private {
   batch_threads : int;
   execute_threads : int;
   exec_records : int;
-  exec_force_parallel : bool;
   checkpoint_txns : int;
   max_inflight_batches : int;
   crashed_backups : int;

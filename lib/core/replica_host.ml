@@ -398,4 +398,6 @@ let ledger t = t.ledger
 let applied t = t.applied
 let executed_txns t = t.executed_txns
 let held t = Hashtbl.length t.requests
+let ids_above_watermark t =
+  Hashtbl.fold (fun _ c acc -> acc + Hashtbl.length c.Executed.above) t.executed 0
 let queued t = Hashtbl.length t.queued

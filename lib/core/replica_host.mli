@@ -96,6 +96,10 @@ val executed_txns : t -> int
 val held : t -> int
 (** Request bodies currently held (admitted or attached, not yet executed). *)
 
+val ids_above_watermark : t -> int
+(** Executed keys remembered one by one, above their client's watermark:
+    0 once every client's executed ids run contiguously from 0. *)
+
 val queued : t -> int
 (** Keys this replica queued or proposed in the current view whose
     requests have not yet executed. *)

@@ -40,8 +40,11 @@ val encode : t -> string
 
 val decode : string -> (t, string) result
 
+val request_auth : client:int -> txn_id:int -> payload:string -> string
+(** The canonical signing input of a client request: it covers client id,
+    txn id and payload. *)
+
 val sign_request : Rdb_crypto.Signer.t -> client:int -> txn_id:int -> payload:string -> string
-(** The canonical signing input covers client id, txn id and payload. *)
 
 val verify_request :
   Rdb_crypto.Signer.verifier ->

@@ -105,8 +105,6 @@ let partition t ~name side_a side_b =
 
 let heal t ~name = Hashtbl.remove t.partitions name
 
-let heal_all t = Hashtbl.reset t.partitions
-
 let cut t ~src ~dst =
   Hashtbl.length t.partitions > 0
   && Hashtbl.fold
@@ -177,14 +175,7 @@ let bytes_sent t = t.bytes_sent
 let messages_dropped t =
   t.counters.dropped_crash + t.counters.dropped_loss + t.counters.dropped_partition
 
-let dropped_by_crash t = t.counters.dropped_crash
-
-let dropped_by_loss t = t.counters.dropped_loss
-
-let dropped_by_partition t = t.counters.dropped_partition
-
 let messages_duplicated t = t.counters.duplicated
 
 let messages_suppressed t = t.suppressed
 
-let nic_busy_ns t node = Rdb_des.Cpu.busy_ns t.nics.(node)

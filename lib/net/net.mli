@@ -21,9 +21,8 @@
     - {e named partitions} ({!partition}/{!heal}): traffic between the two
       sides of any active partition is cut; unnamed nodes are unaffected.
 
-    Every dropped or duplicated message is counted by cause
-    ({!messages_dropped}, {!dropped_by_crash}, {!dropped_by_loss},
-    {!dropped_by_partition}, {!messages_duplicated}).
+    Every dropped or duplicated message is counted
+    ({!messages_dropped}, {!messages_duplicated}).
 
     Message payloads are opaque to the network ('a); sizes are explicit. *)
 
@@ -81,8 +80,6 @@ val partition : 'a t -> name:string -> int list -> int list -> unit
 val heal : 'a t -> name:string -> unit
 (** Removes one named partition; unknown names are a no-op. *)
 
-val heal_all : 'a t -> unit
-
 (** {2 Adversarial interposition}
 
     A byzantine replica is modeled from {e outside} the consensus core: a
@@ -109,18 +106,8 @@ val bytes_sent : 'a t -> int
 val messages_dropped : 'a t -> int
 (** Total messages dropped by any fault (crash + loss + partition). *)
 
-val dropped_by_crash : 'a t -> int
-
-val dropped_by_loss : 'a t -> int
-
-val dropped_by_partition : 'a t -> int
-
 val messages_duplicated : 'a t -> int
 
 val messages_suppressed : 'a t -> int
 (** Messages erased by an adversarial interposition transform returning
     [[]] (selective silence). *)
-
-val nic_busy_ns : 'a t -> int -> int
-(** Cumulative egress transmission time of one node's NIC, for
-    bandwidth-utilisation accounting. *)

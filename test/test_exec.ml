@@ -2,7 +2,7 @@
    state-equivalence argument (E = 4 reaches the state of serial in-order
    execution), and the cluster/Local_runtime deployments of both.
 
-   Four layers of evidence:
+   Three layers of evidence:
    - Scheduler unit + qcheck suites: conflicting transactions never share a
      round across lanes, every plan validates, and replaying a random
      YCSB-shaped block through the plan (with lanes deliberately drained in
@@ -11,8 +11,6 @@
      under 60 random benign + byzantine fault schedules; E = 1 keeps the
      classic single execute-thread stage layout (the bit-identity
      regression) and stays deterministic.
-   - exec_force_parallel: E = 1 through the lane machinery still completes
-     and stays safe — pure scheduling overhead, no behaviour change.
    - Local_runtime: real execution on OCaml domains (E = 4) produces the
      same application-state digest, ledger digest and per-client results as
      the serial runtime. *)
@@ -243,21 +241,6 @@ let test_cluster_e1_legacy_layout () =
   Alcotest.(check (float 1e-9)) "deterministic throughput" m.Metrics.throughput_tps
     m'.Metrics.throughput_tps
 
-let test_cluster_force_parallel () =
-  (* E = 1 through the lane machinery: same protocol behaviour, one lane. *)
-  let p =
-    Params.map_exec (fun e -> { e with Params.Exec.exec_force_parallel = true }) small
-  in
-  let c = Cluster.create p in
-  let m = Cluster.measure c in
-  Alcotest.(check bool) "completes" true (m.Metrics.completed_txns > 0);
-  (match Cluster.check_safety c with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "safety: %s" e);
-  let names = stage_names m in
-  Alcotest.(check bool) "single lane stage" true (List.mem "execute-0" names);
-  Alcotest.(check bool) "scheduler stage" true (List.mem "exec-sched" names)
-
 let test_cluster_conflict_knob () =
   (* A tiny keyspace forces conflicts; the run must still complete and
      agree (the schedule degrades towards serial, never towards races). *)
@@ -394,7 +377,6 @@ let () =
         [
           Alcotest.test_case "E=4 k=2 completes safely" `Quick test_cluster_parallel_progress;
           Alcotest.test_case "E=1 keeps the classic layout" `Quick test_cluster_e1_legacy_layout;
-          Alcotest.test_case "forced single lane" `Quick test_cluster_force_parallel;
           Alcotest.test_case "dense conflicts stay safe" `Quick test_cluster_conflict_knob;
           qtest prop_parallel_safety_under_faults;
         ] );

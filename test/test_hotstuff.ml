@@ -204,7 +204,7 @@ let test_leader_rotation () =
         Alcotest.(check bool) "view change finished" false (Hs.in_view_change core)
       | _ -> ())
     t.Testkit.cores;
-  Alcotest.(check bool) "replica 1 leads view 1" true (Hs.is_leader (hs_core t 1));
+  Alcotest.(check bool) "replica 1 leads view 1" true (Hs.is_primary (hs_core t 1));
   ignore (Testkit.propose t 1 ~reqs:[ Testkit.req 2 ] ~digest:"d2");
   Testkit.run t;
   Testkit.assert_agreement ~expect:2 t

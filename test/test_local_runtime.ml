@@ -116,6 +116,23 @@ let test_checkpoint_prunes () =
   Alcotest.(check bool) "old blocks pruned" true (Ledger.find (Rt.ledger rt 0) 3 = None);
   (match Rt.verify rt with Ok () -> () | Error e -> Alcotest.fail e)
 
+let test_interleaved_clients_free_ids () =
+  (* Three clients interleave their submissions.  Each numbers its requests
+     from 0 on the wire, so every host's per-client watermark absorbs all
+     of them and no executed id is kept individually. *)
+  let rt = Rt.create ~config:{ Rt.default_config with Rt.batch_size = 4 } ~apply:kv_apply () in
+  for i = 0 to 11 do
+    ignore (Rt.submit rt ~client:(1 + (i mod 3)) ~payload:(Printf.sprintf "k%d=%d" i i))
+  done;
+  Rt.run rt;
+  check Alcotest.int "all completed" 12 (List.length (Rt.completed rt));
+  check Alcotest.(list int) "runtime-wide txn ids" (List.init 12 Fun.id)
+    (List.sort compare (List.map fst (Rt.completed rt)));
+  for id = 0 to 3 do
+    check Alcotest.int (Printf.sprintf "replica %d keeps no id above a watermark" id) 0
+      (Rt.ids_above_watermark rt id)
+  done
+
 let test_recovery_with_state_transfer () =
   (* A replica crashes, misses work, recovers, and catches up through the
      checkpoint + state-transfer path; afterwards the whole cluster agrees
@@ -259,6 +276,7 @@ let () =
           Alcotest.test_case "view change" `Quick test_view_change_after_primary_crash;
           Alcotest.test_case "forged messages rejected" `Quick test_forged_messages_rejected;
           Alcotest.test_case "checkpoint pruning" `Quick test_checkpoint_prunes;
+          Alcotest.test_case "interleaved clients free ids" `Quick test_interleaved_clients_free_ids;
           Alcotest.test_case "recovery + state transfer" `Quick test_recovery_with_state_transfer;
           Alcotest.test_case "determinism" `Quick test_determinism_across_runs;
           Alcotest.test_case "config validation" `Quick test_config_validation;

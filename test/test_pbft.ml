@@ -1,12 +1,15 @@
 (* PBFT protocol-core tests: the three-phase normal case, out-of-order and
    duplicated delivery, byzantine equivocation safety, checkpoint garbage
-   collection, view changes, and agreement under randomized interleavings. *)
+   collection, view changes, and agreement under randomized interleavings.
+   The view-change envelope group runs against PBFT and HotStuff alike,
+   through [Core.step]: both cores share {!Rdb_consensus.Replica_log}. *)
 
 module Msg = Rdb_consensus.Message
 module Action = Rdb_consensus.Action
 module Config = Rdb_consensus.Config
 module Pbft = Rdb_consensus.Pbft_replica
 module Client = Rdb_consensus.Pbft_client
+module Core = Rdb_consensus.Core
 
 let check = Alcotest.check
 let qtest p = QCheck_alcotest.to_alcotest p
@@ -161,7 +164,7 @@ let test_checkpoint_gc () =
         check Alcotest.int (Printf.sprintf "replica %d stable checkpoint" id) 10
           (Pbft.last_stable_checkpoint core);
         (* Instances at or below the checkpoint were garbage-collected. *)
-        Alcotest.(check bool) "instances pruned" true (Pbft.pending_instances core <= 4)
+        Alcotest.(check bool) "instances pruned" true (Pbft.pending_slots core <= 4)
       | _ -> ())
     t.Testkit.cores
 
@@ -296,6 +299,63 @@ let test_batched_requests_reply_per_request () =
   in
   check Alcotest.int "3 requests x 4 replicas" 12 (List.length replies)
 
+(* ---- shared view-change envelope, both cores through Core.step ---------- *)
+
+let envelope_cores = [ ("pbft", Core.pbft); ("hotstuff", Core.hotstuff) ]
+
+let view_change ~new_view ~from =
+  Msg.View_change { new_view; last_stable = 0; prepared = []; from }
+
+let deliver core msg = Core.step core (Core.Deliver { inst = 0; msg })
+
+let test_new_view_resent_to_laggard () =
+  List.iter
+    (fun (name, make) ->
+      let cfg = Config.make ~n:4 () in
+      let cores = Array.init 4 (fun id -> make cfg ~id) in
+      (* Replicas 2 and 3 ask for view 1: replica 1, its primary, joins at
+         f+1 and installs it at 2f+1 with a New_view. *)
+      ignore (deliver cores.(1) (view_change ~new_view:1 ~from:2));
+      let acts = deliver cores.(1) (view_change ~new_view:1 ~from:3) in
+      let nv =
+        List.find_map (function _, Action.Broadcast (Msg.New_view _ as m) -> Some m | _ -> None) acts
+      in
+      check Alcotest.bool (name ^ ": New_view broadcast") true (nv <> None);
+      check Alcotest.int (name ^ ": primary installed view 1") 1 (Core.view cores.(1) ~inst:0);
+      (* Replica 0 lost that New_view and still asks to leave view 0: the
+         primary re-sends its New_view to it alone, and a backup stays
+         silent. *)
+      let resent = deliver cores.(1) (view_change ~new_view:1 ~from:0) in
+      check Alcotest.bool (name ^ ": re-sent to the laggard") true
+        (match (resent, nv) with [ (0, Action.Send (0, m)) ], Some nv -> m == nv | _ -> false);
+      ignore (deliver cores.(2) (Option.get nv));
+      check Alcotest.int (name ^ ": backup installed view 1") 1 (Core.view cores.(2) ~inst:0);
+      check Alcotest.int (name ^ ": a backup does not re-send") 0
+        (List.length (deliver cores.(2) (view_change ~new_view:1 ~from:0)));
+      ignore (deliver cores.(0) (Option.get nv));
+      check Alcotest.int (name ^ ": laggard caught up") 1 (Core.view cores.(0) ~inst:0))
+    envelope_cores
+
+let test_view_change_spam_capped () =
+  List.iter
+    (fun (name, make) ->
+      let core = make (Config.make ~n:4 ()) ~id:2 in
+      (* One sender registers at most 4 distinct future views, none more
+         than 8 ahead; a retransmission of a registered view passes. *)
+      List.iter
+        (fun v -> ignore (deliver core (view_change ~new_view:v ~from:3)))
+        [ 1; 2; 3; 4; 5; 9; 2 ];
+      check Alcotest.int (name ^ ": fifth view and far view suppressed") 2
+        (Core.defenses core).Core.vc_suppressed;
+      check Alcotest.bool (name ^ ": one sender cannot start a view change") false
+        (Core.in_view_change core ~inst:0);
+      (* Another sender's budget is its own, and f+1 vouching for view 1
+         makes this replica join. *)
+      ignore (deliver core (view_change ~new_view:1 ~from:1));
+      check Alcotest.int (name ^ ": no further suppression") 2 (Core.defenses core).Core.vc_suppressed;
+      check Alcotest.bool (name ^ ": f+1 join") true (Core.in_view_change core ~inst:0))
+    envelope_cores
+
 let () =
   Alcotest.run "pbft"
     [
@@ -321,6 +381,11 @@ let () =
         ] );
       ( "checkpoints",
         [ Alcotest.test_case "garbage collection" `Quick test_checkpoint_gc ] );
+      ( "view-change envelope (pbft + hotstuff)",
+        [
+          Alcotest.test_case "New_view re-sent to a laggard" `Quick test_new_view_resent_to_laggard;
+          Alcotest.test_case "view-change spam cap" `Quick test_view_change_spam_capped;
+        ] );
       ( "view change",
         [
           Alcotest.test_case "primary rotation" `Quick test_view_change_rotates_primary;
