@@ -117,68 +117,100 @@ let type_name = function
 let auth_string t =
   let b = Buffer.create 64 in
   let add = Buffer.add_string b in
+  let int n = add (string_of_int n) in
+  let field n =
+    Buffer.add_char b '|';
+    int n
+  in
+  (* "n:s;" entries of a list. *)
+  let entry n s =
+    int n;
+    Buffer.add_char b ':';
+    add s;
+    Buffer.add_char b ';'
+  in
+  let ids =
+    List.iter (fun n ->
+        int n;
+        Buffer.add_char b ',')
+  in
   add (type_name t);
   (match t with
   | Pre_prepare { view; seq; batch; from } ->
-    add (Printf.sprintf "|%d|%d|%d|" view seq from);
+    field view; field seq; field from;
+    add "|";
     add batch.digest
   | Prepare { view; seq; digest; from } | Commit { view; seq; digest; from } ->
-    add (Printf.sprintf "|%d|%d|%d|" view seq from);
+    field view; field seq; field from;
+    add "|";
     add digest
   | Checkpoint { seq; state_digest; from } ->
-    add (Printf.sprintf "|%d|%d|" seq from);
+    field seq; field from;
+    add "|";
     add state_digest
   | View_change { new_view; last_stable; prepared; from } ->
-    add (Printf.sprintf "|%d|%d|%d|" new_view last_stable from);
-    List.iter (fun p -> add (Printf.sprintf "%d:%d:%s;" p.p_view p.p_seq p.p_digest)) prepared
+    field new_view; field last_stable; field from;
+    add "|";
+    List.iter
+      (fun p ->
+        int p.p_view;
+        Buffer.add_char b ':';
+        entry p.p_seq p.p_digest)
+      prepared
   | New_view { view; vc_senders; pre_prepares; from } ->
-    add (Printf.sprintf "|%d|%d|" view from);
-    List.iter (fun s -> add (string_of_int s ^ ",")) vc_senders;
-    List.iter (fun (b' : batch) -> add (Printf.sprintf "%d:%s;" b'.seq b'.digest)) pre_prepares
+    field view; field from;
+    add "|";
+    ids vc_senders;
+    List.iter (fun (b' : batch) -> entry b'.seq b'.digest) pre_prepares
   | Hs_proposal { view; seq; batch; parent; from } ->
-    add (Printf.sprintf "|%d|%d|%d|" view seq from);
+    field view; field seq; field from;
+    add "|";
     add batch.digest;
     add "|";
     add parent
   | Hs_vote { view; seq; phase; digest; from } ->
-    add (Printf.sprintf "|%d|%d|%d|%d|" view seq phase from);
+    field view; field seq; field phase; field from;
+    add "|";
     add digest
   | Hs_qc { view; seq; phase; digest; senders; from } ->
-    add (Printf.sprintf "|%d|%d|%d|%d|" view seq phase from);
+    field view; field seq; field phase; field from;
+    add "|";
     add digest;
     add "|";
-    List.iter (fun s -> add (string_of_int s ^ ",")) senders
+    ids senders
   | Order_request { view; seq; batch; history; from } ->
-    add (Printf.sprintf "|%d|%d|%d|" view seq from);
+    field view; field seq; field from;
+    add "|";
     add batch.digest;
     add history
   | Commit_cert { view; seq; digest; client; responders } ->
-    add (Printf.sprintf "|%d|%d|%d|" view seq client);
+    field view; field seq; field client;
+    add "|";
     add digest;
-    List.iter (fun r -> add (string_of_int r ^ ",")) responders
-  | Fill_hole { view; from_seq; to_seq; from } ->
-    add (Printf.sprintf "|%d|%d|%d|%d" view from_seq to_seq from)
+    ids responders
+  | Fill_hole { view; from_seq; to_seq; from } -> field view; field from_seq; field to_seq; field from
   | Reply { view; seq; txn_id; client; from; result } ->
-    add (Printf.sprintf "|%d|%d|%d|%d|%d|" view seq txn_id client from);
+    field view; field seq; field txn_id; field client; field from;
+    add "|";
     add result
   | Spec_reply { view; seq; txn_id; client; from; history } ->
-    add (Printf.sprintf "|%d|%d|%d|%d|%d|" view seq txn_id client from);
+    field view; field seq; field txn_id; field client; field from;
+    add "|";
     add history
-  | Local_commit { view; seq; client; from } ->
-    add (Printf.sprintf "|%d|%d|%d|%d" view seq client from)
-  | State_request { low; from } -> add (Printf.sprintf "|%d|%d" low from)
+  | Local_commit { view; seq; client; from } -> field view; field seq; field client; field from
+  | State_request { low; from } -> field low; field from
   | State_response
       { last_stable; state_digest; cert; chain_digest; appended; app_seq; app_export; blocks; from }
     ->
-    add (Printf.sprintf "|%d|%d|%d|%d|" last_stable appended app_seq from);
+    field last_stable; field appended; field app_seq; field from;
+    add "|";
     add state_digest;
     add "|";
     add chain_digest;
     add "|";
-    List.iter (fun (id, d) -> add (Printf.sprintf "%d:%s;" id d)) cert;
+    List.iter (fun (id, d) -> entry id d) cert;
     List.iter
-      (fun (blk : Rdb_chain.Block.t) ->
-        add (Printf.sprintf "%d:%s;" blk.Rdb_chain.Block.seq blk.Rdb_chain.Block.digest))
+      (fun (blk : Rdb_chain.Block.t) -> entry blk.Rdb_chain.Block.seq blk.Rdb_chain.Block.digest)
       blocks;
     (* The key-value export is covered by one folded digest so the
        authenticated string stays bounded. *)

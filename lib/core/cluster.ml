@@ -440,11 +440,8 @@ let compact_pending (h : host) =
 let shared_charge (p : Params.t) cache ~key ~full =
   if full = 0 then 0
   else if not p.Params.verify_sharing then full
-  else if Vcache.mem cache key then p.Params.cost.Cost.cache_lookup
-  else begin
-    Vcache.add cache key ();
-    full
-  end
+  else if Vcache.check cache key () then p.Params.cost.Cost.cache_lookup
+  else full
 
 (* ---- replica-side processing ---------------------------------------------- *)
 
@@ -1078,7 +1075,7 @@ and deliver_replica t (h : host) ~src (msg : net_msg) =
     let verify =
       let key =
         if inst = 0 then Msg.auth_string m
-        else Printf.sprintf "i%d|%s" inst (Msg.auth_string m)
+        else String.concat "" [ "i"; string_of_int inst; "|"; Msg.auth_string m ]
       in
       shared_charge p h.vcache ~key ~full:(Cost.verify_cost cost p.Params.replica_scheme)
     in

@@ -11,7 +11,9 @@
     evicts the oldest entry (FIFO), so memory is bounded for arbitrarily
     long runs.  Only successful verifications should be inserted: callers
     key on the {e full} authenticated content, so a forgery can never alias
-    a cached success. *)
+    a cached success.  A probe compares stored hashes first and the key
+    bytes only on a hash match; it never accepts a match on the hash
+    alone. *)
 
 type 'a t
 
@@ -27,6 +29,11 @@ val mem : 'a t -> string -> bool
 val add : 'a t -> string -> 'a -> unit
 (** Insert (no-op if the key is already present), evicting FIFO at
     capacity.  Does not count as a hit or miss. *)
+
+val check : 'a t -> string -> 'a -> bool
+(** [check t key v] is [mem t key] followed, on a miss, by [add t key v],
+    in one probe: [true] on a hit, [false] after inserting.  Counts a hit
+    or a miss exactly as {!mem} does. *)
 
 val size : 'a t -> int
 val hits : 'a t -> int

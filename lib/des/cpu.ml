@@ -8,8 +8,9 @@ type t = {
   waiting : job Queue.t;
   mutable running : int;
   mutable busy_ns_completed : int;
-  (* Start times of in-flight jobs, used to account their elapsed portion. *)
-  mutable inflight_started : Sim.time list;
+  (* Sum of the start times of the [running] jobs: their elapsed portion is
+     [running * now - started_sum]. *)
+  mutable started_sum : Sim.time;
 }
 
 let create ?(cs_alpha = 0.0) ?probe sim ~cores =
@@ -22,7 +23,7 @@ let create ?(cs_alpha = 0.0) ?probe sim ~cores =
     waiting = Queue.create ();
     running = 0;
     busy_ns_completed = 0;
-    inflight_started = [];
+    started_sum = 0;
   }
 
 let cores t = t.cores
@@ -46,12 +47,12 @@ let rec start t job =
   t.running <- t.running + 1;
   let service = inflated_service t job.service in
   let started = Sim.now t.sim in
-  t.inflight_started <- started :: t.inflight_started;
+  t.started_sum <- t.started_sum + started;
   ignore
     (Sim.schedule t.sim ~after:service (fun () ->
          t.running <- t.running - 1;
          t.busy_ns_completed <- t.busy_ns_completed + service;
-         t.inflight_started <- remove_one started t.inflight_started;
+         t.started_sum <- t.started_sum - started;
          (match t.probe with
           | None -> ()
           | Some probe ->
@@ -66,19 +67,12 @@ and dispatch t =
     start t job
   end
 
-and remove_one x = function
-  | [] -> []
-  | y :: rest -> if y = x then rest else y :: remove_one x rest
-
 let submit t ~service k =
   if service < 0 then invalid_arg "Cpu.submit: negative service time";
   let job = { service; submitted = Sim.now t.sim; k } in
   if t.running < t.cores then start t job else Queue.push job t.waiting
 
-let busy_ns t =
-  let now = Sim.now t.sim in
-  let inflight = List.fold_left (fun acc s -> acc + (now - s)) 0 t.inflight_started in
-  t.busy_ns_completed + inflight
+let busy_ns t = t.busy_ns_completed + (t.running * Sim.now t.sim) - t.started_sum
 
 let queue_length t = Queue.length t.waiting
 

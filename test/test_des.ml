@@ -1,8 +1,7 @@
 (* Tests for the discrete-event simulation substrate: RNG determinism,
-   heap ordering, statistics, simulator semantics, CPU resource. *)
+   statistics, simulator semantics and event-queue order, CPU resource. *)
 
 module Rng = Rdb_des.Rng
-module Heap = Rdb_des.Heap
 module Stats = Rdb_des.Stats
 module Sim = Rdb_des.Sim
 module Cpu = Rdb_des.Cpu
@@ -75,37 +74,6 @@ let test_rng_shuffle_permutation () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   check Alcotest.(array int) "still a permutation" (Array.init 50 (fun i -> i)) sorted
-
-(* ---- Heap --------------------------------------------------------------- *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some x ->
-      out := x :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list int) "sorted output" [ 9; 8; 7; 5; 3; 2; 1 ] !out
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun l ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) l;
-      let rec drain acc = match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc in
-      drain [] = List.sort compare l)
 
 (* ---- Stats -------------------------------------------------------------- *)
 
@@ -222,6 +190,52 @@ let test_sim_past_schedule_rejected () =
   Alcotest.check_raises "past schedule" (Invalid_argument "Sim.schedule_at: time is in the past")
     (fun () -> ignore (Sim.schedule_at sim ~at:5 (fun () -> ())))
 
+(* Model check of the event queue.  Events are scheduled at random
+   (often tied) times, some are cancelled, a random number are fired with
+   [step], more are scheduled relative to the new clock and more are
+   cancelled, and the rest run.  The fire order must be the stable sort of
+   all events by time in scheduling order (FIFO ties), less those cancelled
+   while still pending. *)
+let prop_sim_queue_order =
+  let ops = QCheck.(list_of_size Gen.(0 -- 40) (pair (int_bound 30) bool)) in
+  QCheck.Test.make ~name:"fires in stable time order, cancelled skipped" ~count:300
+    QCheck.(quad ops (int_bound 45) ops (list_of_size Gen.(0 -- 10) (int_bound 80)))
+    (fun (first, steps, second, late_cancels) ->
+      let sim = Sim.create () in
+      let fired = ref [] in
+      (* (id, time, handle) in scheduling order; ids count up from 0. *)
+      let scheduled = ref [] and dropped = ref [] in
+      let add ~at cancel =
+        let id = List.length !scheduled in
+        let ev = Sim.schedule_at sim ~at (fun () -> fired := id :: !fired) in
+        scheduled := !scheduled @ [ (id, at, ev) ];
+        if cancel then begin
+          Sim.cancel ev;
+          dropped := id :: !dropped
+        end
+      in
+      List.iter (fun (at, cancel) -> add ~at cancel) first;
+      for _ = 1 to steps do
+        ignore (Sim.step sim)
+      done;
+      List.iter (fun (after, cancel) -> add ~at:(Sim.now sim + after) cancel) second;
+      List.iter
+        (fun i ->
+          match List.nth_opt !scheduled i with
+          | Some (id, _, ev) when not (List.mem id !fired) ->
+            Sim.cancel ev;
+            dropped := id :: !dropped
+          | _ -> ())
+        late_cancels;
+      let live = List.filter (fun (id, _, _) -> not (List.mem id !dropped)) !scheduled in
+      let pending_ok = Sim.pending sim = List.length live - List.length !fired in
+      Sim.run sim;
+      let expected =
+        List.map (fun (id, _, _) -> id)
+          (List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b) live)
+      in
+      pending_ok && List.rev !fired = expected && Sim.pending sim = 0)
+
 (* ---- Cpu ---------------------------------------------------------------- *)
 
 let test_cpu_serializes_on_one_core () =
@@ -289,12 +303,6 @@ let () =
           Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          qtest prop_heap_sorts;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;
@@ -313,6 +321,7 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_sim_nested_schedule;
           Alcotest.test_case "time units" `Quick test_sim_units;
           Alcotest.test_case "past schedule rejected" `Quick test_sim_past_schedule_rejected;
+          qtest prop_sim_queue_order;
         ] );
       ( "cpu",
         [

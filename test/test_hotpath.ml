@@ -56,6 +56,79 @@ let test_cache_rejects_bad_capacity () =
     (Invalid_argument "Verify_cache.create: capacity must be >= 1") (fun () ->
       ignore (Vcache.create ~capacity:0))
 
+(* Model check against a list-based FIFO reference: random mem / add /
+   check / find / clear sequences over capacities up to 8 and at most 12
+   distinct keys, so eviction, backward-shift deletion, table and ring
+   growth, and re-adding a present key all occur.  Every result, the size
+   and both counters must match the model after every operation. *)
+type cache_op = Mem of int | Add of int * int | Check of int * int | Find of int | Clear
+
+let prop_cache_matches_fifo_model =
+  let op =
+    QCheck.Gen.(
+      let key = int_bound 11 and v = int_bound 99 in
+      frequency
+        [
+          (3, map (fun k -> Mem k) key);
+          (3, map2 (fun k v -> Add (k, v)) key v);
+          (4, map2 (fun k v -> Check (k, v)) key v);
+          (2, map (fun k -> Find k) key);
+          (1, return Clear);
+        ])
+  in
+  let print = function
+    | Mem k -> Printf.sprintf "mem %d" k
+    | Add (k, v) -> Printf.sprintf "add %d %d" k v
+    | Check (k, v) -> Printf.sprintf "check %d %d" k v
+    | Find k -> Printf.sprintf "find %d" k
+    | Clear -> "clear"
+  in
+  QCheck.Test.make ~name:"matches a FIFO list model" ~count:500
+    QCheck.(pair (int_range 1 8) (list_of_size Gen.(0 -- 80) (make ~print op)))
+    (fun (capacity, ops) ->
+      let c = Vcache.create ~capacity in
+      (* Oldest first; counters persist across [clear], as in the cache. *)
+      let entries = ref [] and hits = ref 0 and misses = ref 0 in
+      let count found = if found then incr hits else incr misses in
+      let insert k v =
+        if not (List.mem_assoc k !entries) then begin
+          let kept = if List.length !entries = capacity then List.tl !entries else !entries in
+          entries := kept @ [ (k, v) ]
+        end
+      in
+      let key k = "key|" ^ string_of_int k in
+      List.for_all
+        (fun o ->
+          let agrees =
+            match o with
+            | Mem k ->
+              let found = List.mem_assoc k !entries in
+              count found;
+              Vcache.mem c (key k) = found
+            | Add (k, v) ->
+              insert k v;
+              Vcache.add c (key k) v;
+              true
+            | Check (k, v) ->
+              let found = List.mem_assoc k !entries in
+              count found;
+              insert k v;
+              Vcache.check c (key k) v = found
+            | Find k ->
+              let r = List.assoc_opt k !entries in
+              count (r <> None);
+              Vcache.find c (key k) = r
+            | Clear ->
+              entries := [];
+              Vcache.clear c;
+              true
+          in
+          agrees
+          && Vcache.size c = List.length !entries
+          && Vcache.hits c = !hits
+          && Vcache.misses c = !misses)
+        ops)
+
 (* ---- the pooled codec ----------------------------------------------------- *)
 
 let sample_batch =
@@ -391,6 +464,7 @@ let () =
           Alcotest.test_case "hit/miss accounting" `Quick test_cache_counts;
           Alcotest.test_case "FIFO eviction bound" `Quick test_cache_fifo_eviction;
           Alcotest.test_case "bad capacity rejected" `Quick test_cache_rejects_bad_capacity;
+          qtest prop_cache_matches_fifo_model;
         ] );
       ( "codec-pool",
         [

@@ -98,6 +98,82 @@ let prop_codec_roundtrip =
   QCheck.Test.make ~name:"codec: decode . encode = id" ~count:500 arb_message (fun m ->
       Codec.decode (Codec.encode m) = Ok m)
 
+(* ---- authenticated encoding ---------------------------------------------- *)
+
+(* Golden bytes of [Message.auth_string]: the string the measured runtimes
+   MAC on the wire, so any change to it is a wire-format change.  Every
+   constructor appears, with multi-digit ints, empty and non-empty lists,
+   and digests that contain the '|' separator. *)
+let test_auth_string_golden () =
+  let module Block = Rdb_chain.Block in
+  let batch =
+    { Msg.view = 12; seq = 3456; digest = "dig|est"; reqs = [ { Msg.client = 7; txn_id = 80 } ];
+      wire_bytes = 512 }
+  in
+  let batch2 = { batch with Msg.seq = 3457; digest = "d2" } in
+  let blk =
+    { Block.seq = 1001; view = 12; digest = "bl|k"; txn_count = 100;
+      link = Block.Certificate [ (0, "s") ] }
+  in
+  let kv_digest = Rdb_crypto.Sha256.digest "k1\x00v1\x00k|2\x00\x00" in
+  let cases =
+    [
+      (Msg.Pre_prepare { view = 12; seq = 3456; batch; from = 15 }, "pre-prepare|12|3456|15|dig|est");
+      (Msg.Prepare { view = 0; seq = 1_000_000; digest = "a|b"; from = 10 }, "prepare|0|1000000|10|a|b");
+      (Msg.Commit { view = 123; seq = 45; digest = "|"; from = 0 }, "commit|123|45|0||");
+      (Msg.Checkpoint { seq = 10_000; state_digest = "st|ate"; from = 13 }, "checkpoint|10000|13|st|ate");
+      ( Msg.View_change
+          {
+            new_view = 21;
+            last_stable = 300;
+            prepared =
+              [
+                { Msg.p_view = 20; p_seq = 301; p_digest = "p|d"; p_batch = batch };
+                { Msg.p_view = 19; p_seq = 302; p_digest = "q"; p_batch = batch2 };
+              ];
+            from = 11;
+          },
+        "view-change|21|300|11|20:301:p|d;19:302:q;" );
+      (Msg.View_change { new_view = 1; last_stable = 0; prepared = []; from = 0 }, "view-change|1|0|0|");
+      ( Msg.New_view { view = 21; vc_senders = [ 1; 12; 13 ]; pre_prepares = [ batch; batch2 ]; from = 5 },
+        "new-view|21|5|1,12,13,3456:dig|est;3457:d2;" );
+      (Msg.New_view { view = 1; vc_senders = []; pre_prepares = []; from = 0 }, "new-view|1|0|");
+      ( Msg.Hs_proposal { view = 33; seq = 444; batch; parent = "par|ent"; from = 14 },
+        "hs-proposal|33|444|14|dig|est|par|ent" );
+      ( Msg.Hs_vote { view = 33; seq = 444; phase = 3; digest = "v|d"; from = 12 },
+        "hs-vote|33|444|3|12|v|d" );
+      ( Msg.Hs_qc { view = 33; seq = 444; phase = 2; digest = "q|c"; senders = [ 10; 11; 12 ]; from = 1 },
+        "hs-qc|33|444|2|1|q|c|10,11,12," );
+      ( Msg.Order_request { view = 7; seq = 89; batch; history = "hi|st"; from = 0 },
+        "order-request|7|89|0|dig|esthi|st" );
+      ( Msg.Commit_cert { view = 7; seq = 89; digest = "c|c"; client = 80_000; responders = [ 0; 10; 15 ] },
+        "commit-cert|7|89|80000|c|c0,10,15," );
+      (Msg.Fill_hole { view = 7; from_seq = 90; to_seq = 1234; from = 10 }, "fill-hole|7|90|1234|10");
+      ( Msg.Reply { view = 7; seq = 89; txn_id = 123_456; client = 79_999; from = 15; result = "o|k" },
+        "reply|7|89|123456|79999|15|o|k" );
+      ( Msg.Spec_reply
+          { view = 7; seq = 89; txn_id = 123_456; client = 79_999; from = 15; history = "h|h" },
+        "spec-reply|7|89|123456|79999|15|h|h" );
+      ( Msg.Local_commit { view = 7; seq = 89; client = 79_999; from = 15 },
+        "local-commit|7|89|79999|15" );
+      (Msg.State_request { low = 5001; from = 12 }, "state-request|5001|12");
+      ( Msg.State_response
+          {
+            last_stable = 5000;
+            state_digest = "s|d";
+            cert = [ (0, "c|0"); (11, "c1") ];
+            chain_digest = "ch|ain";
+            appended = 5050;
+            app_seq = 5000;
+            app_export = [ ("k1", "v1"); ("k|2", "") ];
+            blocks = [ blk; { blk with Block.seq = 1002; digest = "b2" } ];
+            from = 10;
+          },
+        "state-response|5000|5050|5000|10|s|d|ch|ain|0:c|0;11:c1;1001:bl|k;1002:b2;" ^ kv_digest );
+    ]
+  in
+  List.iter (fun (m, want) -> check Alcotest.string (Msg.type_name m) want (Msg.auth_string m)) cases
+
 (* ---- application wire format (deployment layer) ----------------------------- *)
 
 module Wire = Rdb_core.Wire
@@ -353,6 +429,7 @@ let () =
           Alcotest.test_case "rejects malformed" `Quick test_codec_rejects_malformed;
           Alcotest.test_case "never raises on fuzz" `Quick test_codec_never_raises_on_fuzz;
           qtest prop_codec_roundtrip;
+          Alcotest.test_case "auth_string golden bytes" `Quick test_auth_string_golden;
         ] );
       ( "wire",
         [
