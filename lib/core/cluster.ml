@@ -105,7 +105,10 @@ type host = {
   mutable exec_busy : bool;  (** a block currently owns the lanes *)
   checkpoint_stage : Stage.t;
   core : Core.t;  (** the protocol state machine, behind {!Rdb_consensus.Core} *)
-  pending : int Queue.t;  (** primary: transactions awaiting batching *)
+  pending : Pending.t;
+      (** client transactions awaiting batching (a backup's copy is the
+          demand its watchdog tracks); it knows which ids executed or are in
+          flight here only under retransmission *)
   mutable flush_scheduled : bool;
   mutable batch_jobs_inflight : int;
       (** batch jobs queued or running; bounded so batching interleaves with
@@ -130,10 +133,6 @@ type host = {
       (** a State_request is in flight: re-broadcast on the demand-timer
           cadence until a response lands (or the retry budget runs out) *)
   mutable st_tries : int;  (** re-broadcasts left for the outstanding request *)
-  executed_txns : (int, unit) Hashtbl.t;
-      (** transactions this host has executed (dedups retransmissions) *)
-  inflight_txns : (int, unit) Hashtbl.t;
-      (** transactions batched here but not yet executed *)
   (* ---- verify-sharing (Q2) ---- *)
   vcache : unit Vcache.t;
       (** signature/MAC verifications this host has accepted, keyed by the
@@ -344,6 +343,23 @@ let obs_mark_executed t (reqs : Msg.request_ref list) =
         | None -> ())
       reqs
 
+(* The ids of [ids] still awaiting a reply quorum, in order: [ids] itself
+   when none has completed, else a fresh array of exactly the survivors. *)
+let awaiting_reply t ids =
+  let k = Array.fold_left (fun k id -> if Hashtbl.mem t.submit_time id then k + 1 else k) 0 ids in
+  if k = Array.length ids then ids
+  else begin
+    let out = Array.make k 0 and j = ref 0 in
+    Array.iter
+      (fun id ->
+        if Hashtbl.mem t.submit_time id then begin
+          out.(!j) <- id;
+          incr j
+        end)
+      ids;
+    out
+  end
+
 (* Record the per-phase latency split for freshly completed transactions and
    drop their marks.  Only transactions whose marks are complete and in
    order contribute (in a healthy traced run that is all of them), so the
@@ -410,26 +426,6 @@ let mark_primary_crash t =
     t.recovered_at <- None
   end
 
-(* Rebuild a host's pending queue without transactions that are already
-   executed here, already in an in-flight batch, or duplicated in the queue
-   itself (retransmissions and network duplication both re-inject ids). *)
-let compact_pending (h : host) =
-  let n = Queue.length h.pending in
-  if n > 0 then begin
-    let seen = Hashtbl.create (2 * n) in
-    for _ = 1 to n do
-      let id = Queue.pop h.pending in
-      if
-        (not (Hashtbl.mem h.executed_txns id))
-        && (not (Hashtbl.mem h.inflight_txns id))
-        && not (Hashtbl.mem seen id)
-      then begin
-        Hashtbl.add seen id ();
-        Queue.push id h.pending
-      end
-    done
-  end
-
 (* ---- verify-sharing (Q2) --------------------------------------------------- *)
 
 (* Cost of checking a verification (or digest) whose full cost would be
@@ -471,8 +467,8 @@ and note_view t (h : host) =
     else if t.retrans_enabled then begin
       (* Demand that survived the view change re-arms the timer: the new
          primary gets [view_timeout] to serve it or is suspected in turn. *)
-      compact_pending h;
-      if not (Queue.is_empty h.pending) then note_demand t h
+      Pending.compact h.pending;
+      if not (Pending.is_empty h.pending) then note_demand t h
     end
   end
 
@@ -495,7 +491,7 @@ and note_demand t (h : host) =
 and vc_check t (h : host) =
   h.vc_timer <- None;
   if Core.demand_driven h.core then begin
-    compact_pending h;
+    Pending.compact h.pending;
     (* The core names the instance to escalate against — the blocked one in
        a multi-primary run, the (single) primary's instance otherwise, none
        when this host leads everything there is to lead or holds no demand.
@@ -505,8 +501,8 @@ and vc_check t (h : host) =
        [pending] is empty. *)
     match
       Core.escalation h.core
-        ~pending:(not (Queue.is_empty h.pending))
-        ~inflight:(Hashtbl.length h.inflight_txns > 0)
+        ~pending:(not (Pending.is_empty h.pending))
+        ~inflight:(Pending.inflight h.pending > 0)
     with
     | None -> ()
     | Some inst ->
@@ -817,8 +813,8 @@ and finish_block t (h : host) (stage : Stage.t) (b : Msg.batch) =
   if t.retrans_enabled then
     List.iter
       (fun (r : Msg.request_ref) ->
-        Hashtbl.replace h.executed_txns r.Msg.txn_id ();
-        Hashtbl.remove h.inflight_txns r.Msg.txn_id)
+        Pending.mark_executed h.pending r.Msg.txn_id;
+        Pending.clear_inflight h.pending r.Msg.txn_id)
       b.Msg.reqs;
   let state_digest = "state-" ^ string_of_int b.Msg.seq in
   let actions = core_executed t h ~seq:b.Msg.seq ~state_digest ~result:"ok" in
@@ -928,7 +924,7 @@ and try_form_batches t (h : host) =
   let p = t.p in
   if not (is_host_primary h) then ()
   else begin
-  if t.retrans_enabled then compact_pending h;
+  Pending.compact h.pending;
   let stage = match h.batch_stage with Some s -> s | None -> h.worker in
   let max_jobs = 2 * Stage.workers stage in
   (* k concurrent ordering instances sustain k times the in-flight batches
@@ -939,26 +935,22 @@ and try_form_batches t (h : host) =
     < p.Params.max_inflight_batches * p.Params.instances
   in
   while
-    Queue.length h.pending >= p.Params.batch_size
+    Pending.length h.pending >= p.Params.batch_size
     && h.batch_jobs_inflight < max_jobs
     && admission_open ()
   do
-    let k = p.Params.batch_size in
-    let txns = Array.init k (fun _ -> Queue.pop h.pending) in
-    enqueue_batch_job t h stage txns
+    enqueue_batch_job t h stage (Pending.take h.pending p.Params.batch_size)
   done;
   (* A partial batch would stall forever under low load: flush it shortly,
      like a production batcher's linger timer. *)
-  if (not (Queue.is_empty h.pending)) && not h.flush_scheduled then begin
+  if (not (Pending.is_empty h.pending)) && not h.flush_scheduled then begin
     h.flush_scheduled <- true;
     ignore
       (Sim.schedule t.sim ~after:(Sim.ms 2.0) (fun () ->
            h.flush_scheduled <- false;
-           let len = Queue.length h.pending in
-           if len > 0 && len < p.Params.batch_size && admission_open () then begin
-             let txns = Array.init len (fun _ -> Queue.pop h.pending) in
-             enqueue_batch_job t h stage txns
-           end
+           let len = Pending.length h.pending in
+           if len > 0 && len < p.Params.batch_size && admission_open () then
+             enqueue_batch_job t h stage (Pending.take h.pending len)
            else if len > 0 then try_form_batches t h))
   end
   end
@@ -1001,7 +993,7 @@ and enqueue_batch_job t (h : host) stage txns =
     + Cost.hash_cost p.Params.cost ~bytes:wire
   in
   h.batch_jobs_inflight <- h.batch_jobs_inflight + 1;
-  if t.retrans_enabled then Array.iter (fun id -> Hashtbl.replace h.inflight_txns id ()) txns;
+  if t.retrans_enabled then Array.iter (Pending.mark_inflight h.pending) txns;
   Stage.enqueue stage ~service (fun () ->
       h.batch_jobs_inflight <- h.batch_jobs_inflight - 1;
       h.batch_counter <- h.batch_counter + 1;
@@ -1030,8 +1022,8 @@ and enqueue_batch_job t (h : host) stage txns =
         if t.retrans_enabled then
           Array.iter
             (fun id ->
-              Hashtbl.remove h.inflight_txns id;
-              Queue.push id h.pending)
+              Pending.clear_inflight h.pending id;
+              Pending.push h.pending id)
             txns
       | Some _ ->
         obs_mark_proposed t txns;
@@ -1053,7 +1045,7 @@ and deliver_replica t (h : host) ~src (msg : net_msg) =
   | Client_txns { txn_ids } ->
     let k = Array.length txn_ids in
     Stage.enqueue h.input_client ~service:(k * cost.Cost.msg_handle) (fun () ->
-        Array.iter (fun id -> Queue.push id h.pending) txn_ids;
+        Array.iter (Pending.push h.pending) txn_ids;
         if is_host_primary h then begin
           try_form_batches t h;
           (* A multi-primary host leads only its own instances: the
@@ -1196,10 +1188,7 @@ and schedule_retransmit t txn_ids ~delay =
   let p = t.p in
   ignore
     (Sim.schedule t.sim ~after:delay (fun () ->
-         let survivors =
-           Array.of_list
-             (List.filter (fun id -> Hashtbl.mem t.submit_time id) (Array.to_list txn_ids))
-         in
+         let survivors = awaiting_reply t txn_ids in
          let k = Array.length survivors in
          if k > 0 then begin
            t.retransmissions <- t.retransmissions + k;
@@ -1227,10 +1216,7 @@ and complete_batch t (track : batch_track) ~view ~fast ~cert =
     (* Under retransmission one transaction can complete through two
        distinct (view, seq) slots; only its first completion counts —
        exactly-once at the accounting level. *)
-    let fresh =
-      Array.of_list
-        (List.filter (fun id -> Hashtbl.mem t.submit_time id) (Array.to_list track.bt_txn_ids))
-    in
+    let fresh = awaiting_reply t track.bt_txn_ids in
     let k = Array.length fresh in
     t.duplicate_completions <- t.duplicate_completions + (Array.length track.bt_txn_ids - k);
     if t.measuring then begin
@@ -1491,7 +1477,7 @@ let make_host t ~id =
     exec_busy = false;
     checkpoint_stage = stage "checkpoint" 1;
     core;
-    pending = Queue.create ();
+    pending = Pending.create ~track:t.retrans_enabled;
     flush_scheduled = false;
     batch_jobs_inflight = 0;
     ledger;
@@ -1499,8 +1485,6 @@ let make_host t ~id =
     batch_counter = 0;
     seen_view = 0;
     vc_timer = None;
-    executed_txns = Hashtbl.create 64;
-    inflight_txns = Hashtbl.create 64;
     last_exec_seen = 0;
     nudged = false;
     st_outstanding = false;
@@ -1721,7 +1705,7 @@ let install_series t (o : obs) =
     let nw = net t in
     let v =
       [|
-        float_of_int (Queue.length h0.pending);
+        float_of_int (Pending.length h0.pending);
         float_of_int (match h0.batch_stage with Some s -> Stage.queue_length s | None -> 0);
         float_of_int (Stage.queue_length h0.worker);
         (* Work queued at the execute boundary: the single execute-thread's

@@ -1,6 +1,7 @@
 (* Hot-path performance pass tests: the bounded verify-sharing memo table,
-   the buffer-pooled wire codec, the bench regression gate, and — the core
-   claim — that caching changes *cost*, never *behavior*: with all
+   a host's pending queue, the buffer-pooled wire codec, the bench
+   regression gate, and — the core claim — that caching changes *cost*,
+   never *behavior*: with all
    cacheable crypto priced at zero, cached and uncached clusters produce
    identical metrics over random fault schedules, and with real prices the
    cached cluster is measurably faster while still safe. *)
@@ -128,6 +129,140 @@ let prop_cache_matches_fifo_model =
           && Vcache.hits c = !hits
           && Vcache.misses c = !misses)
         ops)
+
+(* ---- a host's pending queue ------------------------------------------------ *)
+
+(* The reference is the rebuild [Cluster] ran on every batching attempt
+   before [Pending] kept its dead-entry count: a plain FIFO plus executed
+   and in-flight sets, compacted by a full pass that keeps the first copy
+   of each id neither executed nor in flight. *)
+type pending_model = {
+  q : int Queue.t;
+  executed : (int, unit) Hashtbl.t;
+  inflight : (int, unit) Hashtbl.t;
+}
+
+let model_compact m =
+  let n = Queue.length m.q in
+  if n > 0 then begin
+    let seen = Hashtbl.create (2 * n) in
+    for _ = 1 to n do
+      let id = Queue.pop m.q in
+      if
+        (not (Hashtbl.mem m.executed id))
+        && (not (Hashtbl.mem m.inflight id))
+        && not (Hashtbl.mem seen id)
+      then begin
+        Hashtbl.add seen id ();
+        Queue.push id m.q
+      end
+    done
+  end
+
+type pending_op =
+  | Push of int
+  | Take of int
+  | Executed of int
+  | Inflight of int
+  | Clear_inflight of int
+  | Compact
+
+(* Without tracking the module is a bare FIFO: only push and take act. *)
+let apply_pending ~track (p, m) = function
+  | Push id ->
+    Pending.push p id;
+    Queue.push id m.q;
+    true
+  | Take k ->
+    let k = min k (Queue.length m.q) in
+    let expect = Array.init k (fun _ -> Queue.pop m.q) in
+    Pending.take p k = expect
+  | Executed id ->
+    Pending.mark_executed p id;
+    if track then Hashtbl.replace m.executed id ();
+    true
+  | Inflight id ->
+    Pending.mark_inflight p id;
+    if track then Hashtbl.replace m.inflight id ();
+    true
+  | Clear_inflight id ->
+    Pending.clear_inflight p id;
+    Hashtbl.remove m.inflight id;
+    true
+  | Compact ->
+    Pending.compact p;
+    if track then model_compact m;
+    true
+
+let pending_agrees (p, m) =
+  Pending.to_list p = List.of_seq (Queue.to_seq m.q)
+  && Pending.is_empty p = Queue.is_empty m.q
+  && Pending.inflight p = Hashtbl.length m.inflight
+
+(* Model check over random operation sequences with ids mostly from 0..7,
+   so duplicates, re-pushes of executed and in-flight ids, and marks of
+   queued ids are frequent; rarer ids up to 300 grow the per-id tables.
+   Every prefix is replayed on a fresh queue and model: the raw queue,
+   [is_empty] and the in-flight count must agree after it, and again after
+   compacting both. *)
+let prop_pending_matches_rebuild =
+  let op =
+    QCheck.Gen.(
+      let id = frequency [ (9, int_bound 7); (1, int_bound 300) ] in
+      frequency
+        [
+          (6, map (fun i -> Push i) id);
+          (2, map (fun k -> Take k) (int_bound 4));
+          (2, map (fun i -> Executed i) id);
+          (2, map (fun i -> Inflight i) id);
+          (2, map (fun i -> Clear_inflight i) id);
+          (2, return Compact);
+        ])
+  in
+  let print = function
+    | Push i -> Printf.sprintf "push %d" i
+    | Take k -> Printf.sprintf "take %d" k
+    | Executed i -> Printf.sprintf "executed %d" i
+    | Inflight i -> Printf.sprintf "inflight %d" i
+    | Clear_inflight i -> Printf.sprintf "clear_inflight %d" i
+    | Compact -> "compact"
+  in
+  QCheck.Test.make ~name:"matches the O(n) rebuild" ~count:300
+    QCheck.(
+      pair (make ~print:string_of_bool Gen.(frequency [ (4, return true); (1, return false) ]))
+        (list_of_size Gen.(0 -- 60) (make ~print op)))
+    (fun (track, ops) ->
+      let fresh () =
+        ( Pending.create ~track,
+          { q = Queue.create (); executed = Hashtbl.create 8; inflight = Hashtbl.create 8 } )
+      in
+      let rec prefixes acc = function
+        | [] -> true
+        | o :: rest ->
+          let pm = fresh () in
+          let prefix = List.rev (o :: acc) in
+          List.for_all (apply_pending ~track pm) prefix
+          && pending_agrees pm
+          && apply_pending ~track pm Compact
+          && pending_agrees pm
+          && prefixes (o :: acc) rest
+      in
+      prefixes [] ops)
+
+(* Copy counts past a byte's range stay exact. *)
+let test_pending_many_copies () =
+  let p = Pending.create ~track:true in
+  for _ = 1 to 600 do
+    Pending.push p 3
+  done;
+  Pending.push p 4;
+  ignore (Pending.take p 299);
+  check Alcotest.int "raw entries" 302 (Pending.length p);
+  Pending.compact p;
+  check Alcotest.(list int) "one live copy each" [ 3; 4 ] (Pending.to_list p);
+  Pending.mark_executed p 3;
+  Pending.compact p;
+  check Alcotest.(list int) "executed copy dropped" [ 4 ] (Pending.to_list p)
 
 (* ---- the pooled codec ----------------------------------------------------- *)
 
@@ -465,6 +600,11 @@ let () =
           Alcotest.test_case "FIFO eviction bound" `Quick test_cache_fifo_eviction;
           Alcotest.test_case "bad capacity rejected" `Quick test_cache_rejects_bad_capacity;
           qtest prop_cache_matches_fifo_model;
+        ] );
+      ( "pending",
+        [
+          qtest prop_pending_matches_rebuild;
+          Alcotest.test_case "copy counts past a byte" `Quick test_pending_many_copies;
         ] );
       ( "codec-pool",
         [
